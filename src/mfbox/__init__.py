@@ -1,32 +1,25 @@
 """Box-counting multifractal analysis with seeded shuffle significance tests."""
 
 from .bootstrap import (
-    BatchSummary,
     BootstrapConfig,
     BootstrapReport,
     batch_summary,
     bootstrap_analysis,
-    scatter_fit,
-    shuffle_series,
+    replicate_clouds,
+    shuffle_report,
 )
 from .ingest import (
     BoxScheme,
-    DaySegmentation,
     IngestError,
-    MalformedRowError,
     PriceSeries,
     derive_box_scheme,
     parse_intraday_csv,
     segment_by_day,
 )
-from .measure import BoxMeasure, build_box_measure
-from .partition import MomentGrid, PartitionSurface, log_partition_value, partition_surface
+from .partition import MomentGrid
 from .pipeline import DayAnalysis, analyze_series
-from .scaling import MassExponents, fit_mass_exponents, tau_linearity_report
-from .spectrum import SingularitySpectrum, legendre_spectrum, spectrum_stats
 from .synth import (
     CascadeSpec,
-    analytic_binomial_alpha,
     analytic_binomial_tau,
     binomial_cascade,
     constant_series,
@@ -36,39 +29,24 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchSummary",
     "BootstrapConfig",
     "BootstrapReport",
-    "BoxMeasure",
     "BoxScheme",
     "CascadeSpec",
     "DayAnalysis",
-    "DaySegmentation",
     "IngestError",
-    "MalformedRowError",
-    "MassExponents",
     "MomentGrid",
-    "PartitionSurface",
     "PriceSeries",
-    "SingularitySpectrum",
-    "analytic_binomial_alpha",
     "analytic_binomial_tau",
     "analyze_series",
     "batch_summary",
     "binomial_cascade",
     "bootstrap_analysis",
-    "build_box_measure",
     "constant_series",
     "derive_box_scheme",
-    "fit_mass_exponents",
-    "legendre_spectrum",
-    "log_partition_value",
     "parse_intraday_csv",
-    "partition_surface",
     "random_positive_series",
-    "scatter_fit",
+    "replicate_clouds",
     "segment_by_day",
-    "shuffle_series",
-    "spectrum_stats",
-    "tau_linearity_report",
+    "shuffle_report",
 ]

@@ -27,6 +27,8 @@ from ._text import atomic_write_text, fmt_float, round_for_json, write_json
 from .ingest import BoxScheme, PriceSeries
 from .partition import MomentGrid
 from .pipeline import analyze_series
+from .scaling import _ols_slope
+from .spectrum import SingularitySpectrum
 
 logger = logging.getLogger(__name__)
 
@@ -93,14 +95,6 @@ def permuted_values(values: np.ndarray, replicate_index: int, master_seed: int) 
     return rng.permutation(values)
 
 
-def shuffle_series(series: PriceSeries, replicate_index: int, master_seed: int) -> PriceSeries:
-    """The series with its values uniformly permuted; see permuted_values."""
-    return PriceSeries(
-        day_id=series.day_id,
-        values=permuted_values(series.values, replicate_index, master_seed),
-    )
-
-
 def scatter_fit(replicates: np.ndarray) -> tuple[float, float]:
     """Least-squares line F_rnd = k * delta_alpha_rnd + b through the cloud.
 
@@ -110,34 +104,76 @@ def scatter_fit(replicates: np.ndarray) -> tuple[float, float]:
     pts = np.asarray(replicates, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least 2 (delta_alpha, F) replicate points")
-    x = pts[:, 0]
-    y = pts[:, 1]
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise ValueError("degenerate scatter: all replicate delta_alpha values identical")
-    k = float(xc @ (y - y.mean())) / sxx
-    b = float(y.mean() - k * x.mean())
+    k, b, _ = _ols_slope(pts[:, 0], pts[:, 1])
     return k, b
 
 
-def _replicate_stats_chunk(
-    values: np.ndarray,
-    day_id: str,
-    sizes: tuple[int, ...],
-    q_values: np.ndarray,
-    master_seed: int,
-    indices: list[int],
+def _replicate_block(
+    series: PriceSeries, scheme: BoxScheme, grid: MomentGrid, master_seed: int, indices: np.ndarray
 ) -> list[tuple[float, float]]:
-    """(delta_alpha, F) for a block of replicate indices; pool worker body."""
-    scheme = BoxScheme(sizes=sizes, series_length=values.size)
-    grid = MomentGrid(q_values=q_values)
+    """(delta_alpha, F) for one day's block of replicate indices; one scheduler task."""
     out = []
     for idx in indices:
-        shuffled = PriceSeries(day_id=day_id, values=permuted_values(values, idx, master_seed))
+        shuffled = PriceSeries(series.day_id, permuted_values(series.values, idx, master_seed))
         spec = analyze_series(shuffled, scheme, grid).spectrum
         out.append((spec.delta_alpha, spec.f_mid))
     return out
+
+
+def replicate_clouds(
+    days: list[tuple[PriceSeries, BoxScheme]],
+    grid: MomentGrid,
+    cfg: BootstrapConfig,
+    n_jobs: int = 1,
+) -> list[np.ndarray]:
+    """The (B, 2) replicate cloud of every (series, scheme) day, in day order.
+
+    With n_jobs > 1 each day's replicates are split into min(4 * n_jobs, B)
+    blocks and every (day, block) task runs on one process pool; otherwise
+    all tasks run in this process. Replicates are keyed by index, so the
+    clouds are bit-identical however the tasks are scheduled.
+    """
+    B = cfg.replicates
+    blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
+    tasks = [(series, scheme, grid, cfg.master_seed, block)
+             for series, scheme in days for block in blocks]
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(_replicate_block, *zip(*tasks)))
+    else:
+        results = [_replicate_block(*task) for task in tasks]
+    points = np.asarray([pt for block in results for pt in block], dtype=np.float64)
+    return list(points.reshape(len(days), B, 2))
+
+
+def shuffle_report(
+    day_id: str, spectrum: SingularitySpectrum, replicates: np.ndarray, cfg: BootstrapConfig
+) -> BootstrapReport:
+    """Score the original day's spectrum against its replicate cloud."""
+    try:
+        k, b = scatter_fit(replicates)
+    except ValueError:
+        k, b = None, None
+
+    B = cfg.replicates
+    p1 = float(np.count_nonzero(spectrum.delta_alpha <= replicates[:, 0])) / B
+    p2 = float(np.count_nonzero(spectrum.f_mid >= replicates[:, 1])) / B
+    if abs(p1 - p2) > 0.1:
+        logger.warning("day %s: p1 = %.3f and p2 = %.3f disagree by more than 0.1", day_id, p1, p2)
+
+    level = cfg.significance_level
+    return BootstrapReport(
+        day_id=day_id,
+        delta_alpha=spectrum.delta_alpha,
+        f_mid=spectrum.f_mid,
+        replicates=replicates,
+        k=k,
+        b=b,
+        p1=p1,
+        p2=p2,
+        significant_1=p1 <= level,
+        significant_2=p2 <= level,
+    )
 
 
 def bootstrap_analysis(
@@ -149,59 +185,12 @@ def bootstrap_analysis(
 ) -> BootstrapReport:
     """Analyze the original day and B shuffled replicates of it.
 
-    Replicates are independent jobs keyed by index, so with n_jobs > 1 they
-    run in a process pool and the merged report is bit-identical to the
-    serial one.
+    With n_jobs > 1 the replicates run in a process pool (see
+    :func:`replicate_clouds`); the report is bit-identical to the serial one.
     """
     original = analyze_series(series, scheme, grid).spectrum
-    B = cfg.replicates
-
-    if n_jobs <= 1 or B < 4:
-        stats = _replicate_stats_chunk(
-            series.values, series.day_id, scheme.sizes, grid.q_values, cfg.master_seed,
-            list(range(B)),
-        )
-    else:
-        chunks = [list(c) for c in np.array_split(np.arange(B), min(4 * n_jobs, B))]
-        stats = []
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(
-                    _replicate_stats_chunk,
-                    series.values, series.day_id, scheme.sizes, grid.q_values,
-                    cfg.master_seed, chunk,
-                )
-                for chunk in chunks
-            ]
-            for fut in futures:  # merge in submission (= index) order
-                stats.extend(fut.result())
-
-    replicates = np.asarray(stats, dtype=np.float64)
-    try:
-        k, b = scatter_fit(replicates)
-    except ValueError:
-        k, b = None, None
-
-    p1 = float(np.count_nonzero(original.delta_alpha <= replicates[:, 0])) / B
-    p2 = float(np.count_nonzero(original.f_mid >= replicates[:, 1])) / B
-    if abs(p1 - p2) > 0.1:
-        logger.warning(
-            "day %s: p1 = %.3f and p2 = %.3f disagree by more than 0.1", series.day_id, p1, p2
-        )
-
-    level = cfg.significance_level
-    return BootstrapReport(
-        day_id=series.day_id,
-        delta_alpha=original.delta_alpha,
-        f_mid=original.f_mid,
-        replicates=replicates,
-        k=k,
-        b=b,
-        p1=p1,
-        p2=p2,
-        significant_1=p1 <= level,
-        significant_2=p2 <= level,
-    )
+    [cloud] = replicate_clouds([(series, scheme)], grid, cfg, n_jobs)
+    return shuffle_report(series.day_id, original, cloud, cfg)
 
 
 @dataclass(frozen=True)

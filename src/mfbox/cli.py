@@ -17,18 +17,16 @@ import datetime
 import io
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from ._text import atomic_write_text, round_for_json, write_json
 from .bootstrap import (
     BootstrapConfig,
     BootstrapReport,
     batch_summary,
-    bootstrap_analysis,
+    replicate_clouds,
+    shuffle_report,
     write_batch_summary_json,
     write_report_json,
     write_scatter_csv,
@@ -43,11 +41,9 @@ from .ingest import (
 )
 from .partition import MomentGrid, write_surface_csv
 from .pipeline import DayAnalysis, analyze_series
-from .scaling import write_tau_csv
+from .scaling import tau_linearity_report, write_tau_csv
 from .spectrum import write_spectrum_csv
 from .synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,16 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="tau(q), spectrum, and summary per day")
     add_common(p_an)
 
-    p_sh = sub.add_parser("shuffle-test", help="shuffle significance test per day")
-    add_common(p_sh)
-    p_sh.add_argument("--bootstrap", type=int, default=1000, help="shuffle replicates per day")
-    p_sh.add_argument("--store-replicates", action="store_true",
-                      help="embed the replicate cloud in the report JSON")
-
-    p_ba = sub.add_parser("batch", help="analyze + shuffle-test for every day")
-    add_common(p_ba)
-    p_ba.add_argument("--bootstrap", type=int, default=1000)
-    p_ba.add_argument("--store-replicates", action="store_true")
+    for name, help_text in (("shuffle-test", "shuffle significance test per day"),
+                            ("batch", "analyze + shuffle-test for every day")):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        p.add_argument("--bootstrap", type=int, default=1000, help="shuffle replicates per day")
+        p.add_argument("--store-replicates", action="store_true",
+                       help="embed the replicate cloud in the report JSON")
 
     p_sy = sub.add_parser("synth", help="write synthetic control data as CSV")
     p_sy.add_argument("--out", required=True, help="output CSV path")
@@ -190,7 +183,8 @@ def _load_days(cfg: RunConfig) -> list[PriceSeries]:
     )
     seg = segment_by_day(records)
     for drop in seg.dropped:
-        print(f"mfbox: dropped day {drop.day_id}: {drop.reason}", file=sys.stderr)
+        print(f"mfbox: dropped day {drop.day_id!r} ({drop.length} bars): {drop.reason}",
+              file=sys.stderr)
     if not seg.days:
         print(f"mfbox: no usable days in {cfg.input}", file=sys.stderr)
     return seg.days
@@ -205,6 +199,7 @@ def _scheme_for(cfg: RunConfig, length: int) -> BoxScheme:
 
 def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
     day_dir = cfg.outdir / analysis.series.day_id
+    linearity = tau_linearity_report(analysis.exponents)
     write_tau_csv(analysis.exponents, day_dir / "tau.csv")
     write_spectrum_csv(analysis.spectrum, day_dir / "spectrum.csv")
     if "surface" in cfg.export:
@@ -214,62 +209,13 @@ def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
         {
             "day": analysis.series.day_id,
             "length": analysis.series.length,
-            "alpha_bar": round_for_json(analysis.linearity.alpha_bar),
-            "alpha_bar_stderr": round_for_json(analysis.linearity.alpha_bar_stderr),
-            "max_tau_residual": round_for_json(analysis.linearity.max_abs_residual_from_line),
+            "alpha_bar": round_for_json(linearity.alpha_bar),
+            "alpha_bar_stderr": round_for_json(linearity.alpha_bar_stderr),
+            "max_tau_residual": round_for_json(linearity.max_abs_residual_from_line),
             "delta_alpha": round_for_json(analysis.spectrum.delta_alpha),
             "F": round_for_json(analysis.spectrum.f_mid),
         },
     )
-
-
-def run_analyze(cfg: RunConfig) -> int:
-    days = _load_days(cfg)
-    grid = MomentGrid.from_range(cfg.q_min, cfg.q_max, cfg.q_step)
-    for day in days:
-        analysis = analyze_series(day, _scheme_for(cfg, day.length), grid)
-        _write_analysis_artifacts(cfg, analysis)
-    return EXIT_OK
-
-
-def _bootstrap_one_day(
-    values: np.ndarray,
-    day_id: str,
-    sizes: tuple[int, ...],
-    q_values: np.ndarray,
-    replicates: int,
-    master_seed: int,
-    level: float,
-) -> BootstrapReport:
-    """Pool worker: the full shuffle test for one day, serial replicates."""
-    series = PriceSeries(day_id=day_id, values=values)
-    scheme = BoxScheme(sizes=sizes, series_length=series.length)
-    grid = MomentGrid(q_values=q_values)
-    cfg = BootstrapConfig(replicates=replicates, master_seed=master_seed, significance_level=level)
-    return bootstrap_analysis(series, scheme, grid, cfg, n_jobs=1)
-
-
-def _run_bootstrap_days(cfg: RunConfig, days: list[PriceSeries]) -> list[BootstrapReport]:
-    grid = MomentGrid.from_range(cfg.q_min, cfg.q_max, cfg.q_step)
-    boot_cfg = BootstrapConfig(
-        replicates=cfg.bootstrap_b, master_seed=cfg.master_seed, significance_level=cfg.level
-    )
-    if len(days) > 1 and cfg.workers > 1:
-        # Parallelize across days; merge preserves day order.
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(
-                    _bootstrap_one_day,
-                    day.values, day.day_id, _scheme_for(cfg, day.length).sizes,
-                    grid.q_values, cfg.bootstrap_b, cfg.master_seed, cfg.level,
-                )
-                for day in days
-            ]
-            return [f.result() for f in futures]
-    return [
-        bootstrap_analysis(day, _scheme_for(cfg, day.length), grid, boot_cfg, n_jobs=cfg.workers)
-        for day in days
-    ]
 
 
 def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -> None:
@@ -284,21 +230,31 @@ def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -
         write_batch_summary_json(batch_summary(reports, cfg.level), cfg.outdir / "batch_summary.json")
 
 
-def run_shuffle_test(cfg: RunConfig) -> int:
-    days = _load_days(cfg)
-    if days:
-        _write_bootstrap_artifacts(cfg, _run_bootstrap_days(cfg, days))
-    return EXIT_OK
+def run_days(cfg: RunConfig) -> int:
+    """analyze, shuffle-test or batch; each day is analysed exactly once.
 
-
-def run_batch(cfg: RunConfig) -> int:
+    A day's analysis artifacts (analyze, batch) are written as soon as it is
+    analysed, so analyze streams; the shuffle test then sends every day's
+    replicates to one scheduler and scores each day against its cloud.
+    """
     days = _load_days(cfg)
-    if not days:
-        return EXIT_OK
     grid = MomentGrid.from_range(cfg.q_min, cfg.q_max, cfg.q_step)
+    tested = []  # (series, scheme, spectrum) per day to shuffle-test
     for day in days:
-        _write_analysis_artifacts(cfg, analyze_series(day, _scheme_for(cfg, day.length), grid))
-    _write_bootstrap_artifacts(cfg, _run_bootstrap_days(cfg, days))
+        scheme = _scheme_for(cfg, day.length)
+        analysis = analyze_series(day, scheme, grid)
+        if cfg.command != "shuffle-test":
+            _write_analysis_artifacts(cfg, analysis)
+        if cfg.command != "analyze":
+            tested.append((day, scheme, analysis.spectrum))
+    if tested:
+        boot_cfg = BootstrapConfig(
+            replicates=cfg.bootstrap_b, master_seed=cfg.master_seed, significance_level=cfg.level
+        )
+        clouds = replicate_clouds([(d, s) for d, s, _ in tested], grid, boot_cfg, cfg.workers)
+        reports = [shuffle_report(day.day_id, spectrum, cloud, boot_cfg)
+                   for (day, _, spectrum), cloud in zip(tested, clouds)]
+        _write_bootstrap_artifacts(cfg, reports)
     return EXIT_OK
 
 
@@ -356,12 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return run_synth(args)
-        cfg = _config_from_args(args)
-        if args.command == "analyze":
-            return run_analyze(cfg)
-        if args.command == "shuffle-test":
-            return run_shuffle_test(cfg)
-        return run_batch(cfg)
+        return run_days(_config_from_args(args))
     except ConfigError as exc:
         print(f"mfbox: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,15 +9,12 @@ immutable :class:`PriceSeries`.
 from __future__ import annotations
 
 import csv
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Preset box-size lists for the common intraday session lengths. The
 # T=240 and T=390 lists deliberately omit a few divisors (5, 8, ... for
@@ -164,11 +161,12 @@ def parse_intraday_csv(
 def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
     """Split ordered records into per-day series, dropping suspect days.
 
-    A day is dropped (never raising) when it contains a non-positive or
-    non-finite price, or when its bar count differs from the modal count
-    over the clean days -- the proxy for a recording-error day. Ties in the
-    modal count go to the longer day. Kept days appear in first-seen order,
-    values exactly as parsed.
+    A day is dropped (never raising) when its id is not one safe path
+    component (it names the day's output directory), when it contains a
+    non-positive or non-finite price, or when its bar count differs from
+    the modal count over the clean days -- the proxy for a recording-error
+    day. Ties in the modal count go to the longer day. Kept days appear in
+    first-seen order, values exactly as parsed.
     """
     by_day: dict[str, list[float]] = {}
     for rec in records:
@@ -178,14 +176,14 @@ def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
     clean: dict[str, np.ndarray] = {}
     for day_id, prices in by_day.items():
         vals = np.asarray(prices, dtype=np.float64)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        if day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0"):
+            dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))
+        elif not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             dropped.append(DroppedDay(day_id, vals.size, "non-positive or non-finite price"))
         else:
             clean[day_id] = vals
 
     if not clean:
-        for d in dropped:
-            logger.warning("dropping day %s (%d bars): %s", d.day_id, d.length, d.reason)
         return DaySegmentation(days=[], dropped=dropped, modal_length=None)
 
     counts = Counter(len(v) for v in clean.values())
@@ -201,9 +199,6 @@ def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
             dropped.append(DroppedDay(day_id, vals.size, "day shorter than 2 bars"))
         else:
             days.append(PriceSeries(day_id=day_id, values=vals))
-
-    for d in dropped:
-        logger.warning("dropping day %s (%d bars): %s", d.day_id, d.length, d.reason)
     return DaySegmentation(days=days, dropped=dropped, modal_length=modal_length)
 
 

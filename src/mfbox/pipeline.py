@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .ingest import BoxScheme, PriceSeries, derive_box_scheme
 from .partition import MomentGrid, PartitionSurface, partition_surface
-from .scaling import MassExponents, TauLinearityReport, fit_mass_exponents, tau_linearity_report
+from .scaling import MassExponents, fit_mass_exponents
 from .spectrum import SingularitySpectrum, legendre_spectrum
 
 
@@ -16,7 +16,6 @@ class DayAnalysis:
     surface: PartitionSurface
     exponents: MassExponents
     spectrum: SingularitySpectrum
-    linearity: TauLinearityReport
 
 
 def analyze_series(
@@ -31,11 +30,9 @@ def analyze_series(
         grid = MomentGrid.from_range()
     surface = partition_surface(series, scheme, grid)
     exponents = fit_mass_exponents(surface)
-    spectrum = legendre_spectrum(exponents)
     return DayAnalysis(
         series=series,
         surface=surface,
         exponents=exponents,
-        spectrum=spectrum,
-        linearity=tau_linearity_report(exponents),
+        spectrum=legendre_spectrum(exponents),
     )

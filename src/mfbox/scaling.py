@@ -55,11 +55,16 @@ class TauLinearityReport(NamedTuple):
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept, and standard error of the slope for y on x."""
+    """Slope, intercept, and standard error of the slope for y on x.
+
+    Raises ValueError when every x is identical (no line can be fitted).
+    """
     n = x.size
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise ValueError("degenerate fit: all x values identical")
     slope = float(xc @ yc) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
@@ -116,17 +121,17 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
 
 
 def tau_linearity_report(exponents: MassExponents) -> TauLinearityReport:
-    """Best line through (q, tau) and the largest deviation of tau from it.
+    """The fitted alpha_bar line through (q, tau) and the largest deviation from it.
 
     A small maximum residual is the direct evidence that the measure is
     monofractal (tau linear in q).
     """
-    q = exponents.grid.q_values
-    slope, intercept, stderr = _ols_slope(q, exponents.tau)
-    resid = exponents.tau - (slope * q + intercept)
+    q, tau, slope = exponents.grid.q_values, exponents.tau, exponents.alpha_bar
+    intercept = float(tau.mean() - slope * q.mean())
+    resid = tau - (slope * q + intercept)
     return TauLinearityReport(
         alpha_bar=slope,
-        alpha_bar_stderr=stderr,
+        alpha_bar_stderr=exponents.alpha_bar_stderr,
         max_abs_residual_from_line=float(np.max(np.abs(resid))),
     )
 

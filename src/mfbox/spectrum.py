@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +47,6 @@ class SingularitySpectrum:
         object.__setattr__(self, "f", f)
 
 
-class SpectrumStats(NamedTuple):
-    delta_alpha: float
-    f_mid: float
-
-
 def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     """Transform fitted mass exponents into the singularity spectrum.
 
@@ -76,11 +70,6 @@ def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     return SingularitySpectrum(
         grid=exponents.grid, alpha=alpha, f=f, delta_alpha=delta_alpha, f_mid=f_mid
     )
-
-
-def spectrum_stats(spectrum: SingularitySpectrum) -> SpectrumStats:
-    """The (delta_alpha, F) pair consumed by the shuffle test."""
-    return SpectrumStats(delta_alpha=spectrum.delta_alpha, f_mid=spectrum.f_mid)
 
 
 def write_spectrum_csv(spectrum: SingularitySpectrum, path) -> None:

@@ -12,15 +12,16 @@ from mfbox.bootstrap import (
     bootstrap_analysis,
     derive_replicate_seed,
     permuted_values,
+    replicate_clouds,
     report_to_dict,
     scatter_fit,
-    shuffle_series,
     write_batch_summary_json,
     write_report_json,
     write_scatter_csv,
 )
-from mfbox.ingest import derive_box_scheme
+from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.partition import MomentGrid
+from mfbox.pipeline import analyze_series
 from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 SMALL_GRID = MomentGrid.from_range(-8, 8, 1.0)
@@ -50,15 +51,15 @@ class TestSeeding:
 class TestShuffle:
     def test_multiset_preserved(self):
         s = walk_day(1, T=60)
-        sh = shuffle_series(s, 0, 7)
-        assert np.array_equal(np.sort(sh.values), np.sort(s.values))
-        assert sh.day_id == s.day_id
+        sh = permuted_values(s.values, 0, 7)
+        assert np.array_equal(np.sort(sh), np.sort(s.values))
+        assert sh.shape == s.values.shape and sh.dtype == s.values.dtype
 
     def test_deterministic_per_index(self):
-        s = walk_day(1, T=60)
-        assert np.array_equal(shuffle_series(s, 3, 7).values, shuffle_series(s, 3, 7).values)
-        assert not np.array_equal(shuffle_series(s, 3, 7).values, shuffle_series(s, 4, 7).values)
-        assert not np.array_equal(shuffle_series(s, 3, 7).values, shuffle_series(s, 3, 8).values)
+        v = walk_day(1, T=60).values
+        assert np.array_equal(permuted_values(v, 3, 7), permuted_values(v, 3, 7))
+        assert not np.array_equal(permuted_values(v, 3, 7), permuted_values(v, 4, 7))
+        assert not np.array_equal(permuted_values(v, 3, 7), permuted_values(v, 3, 8))
 
     def test_length_one_is_identity(self):
         # a single value admits exactly one permutation
@@ -118,6 +119,22 @@ class TestBootstrapAnalysis:
         assert np.array_equal(a.replicates, b.replicates)
         assert np.array_equal(a.replicates, c.replicates)
         assert (a.p1, a.p2, a.k, a.b) == (c.p1, c.p2, c.k, c.b)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 0])
+    def test_scheduler_merges_in_day_and_index_order(self, n_jobs):
+        days = [walk_day(10, T=60), walk_day(11, T=120), constant_series(60, 2.0, day_id="flat")]
+        pairs = [(d, derive_box_scheme(d.length)) for d in days]
+        cfg = BootstrapConfig(replicates=9, master_seed=5)
+        clouds = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=n_jobs)
+        assert len(clouds) == 3
+        for (day, scheme), cloud in zip(pairs, clouds):
+            report = bootstrap_analysis(day, scheme, SMALL_GRID, cfg, n_jobs=n_jobs)
+            assert np.array_equal(cloud, report.replicates)
+            # row i is replicate i of this day, however the blocks were scheduled
+            for i in (0, 4, 8):
+                shuffled = PriceSeries(day.day_id, permuted_values(day.values, i, 5))
+                spec = analyze_series(shuffled, scheme, SMALL_GRID).spectrum
+                assert tuple(cloud[i]) == (spec.delta_alpha, spec.f_mid)
 
     def test_p1_close_to_p2_on_monofractal_input(self):
         rep = run_small(walk_day(5), B=100, grid=MomentGrid.from_range())

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfbox
 from mfbox.cli import main, write_series_csv
 from mfbox.ingest import parse_intraday_csv, segment_by_day
 from mfbox.pipeline import analyze_series
@@ -110,6 +115,36 @@ class TestBatchCommand:
         for name in ("tau.csv", "spectrum.csv", "summary.json", "shuffle_test.json"):
             assert (day / name).exists()
         assert (out / "batch_summary.json").exists()
+
+
+class TestUnsafeInput:
+    def test_day_id_cannot_escape_outdir(self, tmp_path):
+        good = random_positive_series(60, "iid-lognormal", seed=1, day_id="2001-01-05")
+        bad = random_positive_series(60, "iid-lognormal", seed=2, day_id="../escaped")
+        work = tmp_path / "work"
+        write_series_csv([good, bad], work / "in.csv")
+        out = work / "out"
+        assert run("batch", "--input", str(work / "in.csv"), "--outdir", str(out),
+                   "--bootstrap", "4", "--q-min", "-4", "--q-max", "4") == 0
+        assert sorted(p.name for p in work.iterdir()) == ["in.csv", "out"]
+        assert sorted(p.name for p in out.iterdir()) == ["2001-01-05", "batch_summary.json"]
+
+    def test_dropped_day_reported_once(self, tmp_path):
+        days = [random_positive_series(60, "iid-lognormal", seed=s, day_id=f"2001-01-0{s}")
+                for s in (1, 2)]
+        days.append(random_positive_series(30, "iid-lognormal", seed=3, day_id="2001-01-03"))
+        path = tmp_path / "in.csv"
+        write_series_csv(days, path)
+        env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfbox.cli", "analyze", "--input", str(path),
+             "--outdir", str(tmp_path / "out"), "--q-min", "-4", "--q-max", "4"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        lines = [line for line in proc.stderr.splitlines() if "2001-01-03" in line]
+        assert len(lines) == 1
+        assert "30 bars" in lines[0]
 
 
 class TestExitCodes:

@@ -116,6 +116,15 @@ class TestSegmentByDay:
         assert seg.modal_length == 200
         assert [d.day_id for d in seg.days] == ["d2"]
 
+    @pytest.mark.parametrize("day_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_unsafe_day_id_dropped(self, day_id):
+        # the day id names the day's output directory, so it must be one path component
+        recs = make_records("2001-11-26", [1.0] * 60) + make_records(day_id, [2.0] * 60)
+        seg = segment_by_day(recs)
+        assert [d.day_id for d in seg.days] == ["2001-11-26"]
+        assert [(d.day_id, d.length) for d in seg.dropped] == [(day_id, 60)]
+        assert "path component" in seg.dropped[0].reason
+
     def test_order_preserving_concatenation(self):
         rng = np.random.default_rng(3)
         p1, p2 = list(1 + rng.random(60)), list(1 + rng.random(60))

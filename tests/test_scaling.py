@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.partition import MomentGrid, partition_surface
-from mfbox.scaling import MassExponents, fit_mass_exponents, tau_linearity_report, write_tau_csv
+from mfbox.scaling import (
+    MassExponents,
+    _ols_slope,
+    fit_mass_exponents,
+    tau_linearity_report,
+    write_tau_csv,
+)
 from mfbox.synth import constant_series
 
 
@@ -20,10 +26,9 @@ def fitted(series, grid=None):
 
 def synthetic_exponents(q, tau):
     """MassExponents around a closed-form tau, for exercising the report op."""
-    grid = MomentGrid(q)
-    slope = np.polyfit(q, tau, 1)[0]
-    return MassExponents(grid=grid, tau=tau, r=np.ones_like(tau),
-                         alpha_bar=float(slope), alpha_bar_stderr=0.0)
+    slope, _, stderr = _ols_slope(q, tau)
+    return MassExponents(grid=MomentGrid(q), tau=tau, r=np.ones_like(tau),
+                         alpha_bar=slope, alpha_bar_stderr=stderr)
 
 
 class TestConstantSeries:

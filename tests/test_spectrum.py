@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from mfbox.partition import MomentGrid, partition_surface
 from mfbox.pipeline import analyze_series
 from mfbox.scaling import MassExponents, fit_mass_exponents
-from mfbox.spectrum import legendre_spectrum, spectrum_stats, write_spectrum_csv
+from mfbox.spectrum import legendre_spectrum, write_spectrum_csv
 from mfbox.synth import (
     CascadeSpec,
     analytic_binomial_alpha,
@@ -59,9 +59,9 @@ class TestQuadraticTau:
         assert np.isclose(spec.f_mid, 1.0 - 30.0 * spec.delta_alpha, atol=1e-9)
 
     def test_stats_record(self):
-        stats = spectrum_stats(self.spectrum())
-        assert np.isclose(stats.delta_alpha, 0.0024, atol=1e-12)
-        assert np.isclose(stats.f_mid, 0.928, atol=1e-9)
+        spec = self.spectrum()
+        assert np.isclose(spec.delta_alpha, 0.0024, atol=1e-12)
+        assert np.isclose(spec.f_mid, 0.928, atol=1e-9)
 
 
 class TestConstructionIdentity:

@@ -1,9 +1,10 @@
 """Shuffle-based significance test for an extracted spectrum width.
 
 Each replicate permutes the day's values uniformly at random, reruns the
-whole analysis, and contributes one (delta_alpha, F) point. The cloud of
-replicate points is summarized by its least-squares line F = k*delta + b,
-and the original day is scored by two one-sided p-values:
+analysis on the box sizes the permutation can change, and contributes one
+(delta_alpha, F) point. The cloud of replicate points is summarized by its
+least-squares line F = k*delta + b, and the original day is scored by two
+one-sided p-values:
 
     p1 = #{delta_alpha <= delta_alpha_rnd} / B
     p2 = #{F >= F_rnd} / B
@@ -25,10 +26,11 @@ import numpy as np
 
 from ._text import atomic_write_text, fmt_float, round_for_json, write_json
 from .ingest import BoxScheme, PriceSeries
-from .partition import MomentGrid
+from .measure import box_log_weights
+from .partition import MomentGrid, _log_moment_sums, check_log_chi
 from .pipeline import analyze_series
-from .scaling import _ols_slope
-from .spectrum import SingularitySpectrum
+from .scaling import _ols_slope, fit_tau
+from .spectrum import SingularitySpectrum, legendre_transform
 
 logger = logging.getLogger(__name__)
 
@@ -111,12 +113,33 @@ def scatter_fit(replicates: np.ndarray) -> tuple[float, float]:
 def _replicate_block(
     series: PriceSeries, scheme: BoxScheme, grid: MomentGrid, master_seed: int, indices: np.ndarray
 ) -> list[tuple[float, float]]:
-    """(delta_alpha, F) for one day's block of replicate indices; one scheduler task."""
+    """(delta_alpha, F) for one day's block of replicate indices; one scheduler task.
+
+    Each replicate runs the array functions behind :func:`analyze_series`,
+    every guard included, so its point equals the full chain's on the
+    permuted day. Only the columns 1 < l < T are evaluated per permutation:
+    the l = 1 column (summed in sorted order) and the l = T column (ln u = 0)
+    are the same for every permutation and are computed once from the day.
+    """
+    if scheme.series_length != series.length:
+        raise ValueError(f"scheme is for length {scheme.series_length}, series has {series.length}")
+    q, sizes, T = grid.q_values, scheme.sizes, series.length
+    i0, i1 = grid.index_of(0.0), grid.index_of(1.0)
+    ln_counts = np.log(np.asarray(scheme.box_counts, dtype=np.float64))
+    ln_sizes = np.log(np.asarray(sizes, dtype=np.float64))
+    log_chi = np.empty((q.size, len(sizes)))
+    for j, l in enumerate(sizes):
+        if l in (1, T):
+            log_chi[:, j] = _log_moment_sums(box_log_weights(series.values, l)[1], q)
+    varying = [j for j, l in enumerate(sizes) if 1 < l < T]
     out = []
     for idx in indices:
-        shuffled = PriceSeries(series.day_id, permuted_values(series.values, idx, master_seed))
-        spec = analyze_series(shuffled, scheme, grid).spectrum
-        out.append((spec.delta_alpha, spec.f_mid))
+        values = permuted_values(series.values, idx, master_seed)
+        for j in varying:
+            log_chi[:, j] = _log_moment_sums(box_log_weights(values, sizes[j])[1], q)
+        check_log_chi(log_chi, i0, i1, ln_counts)
+        tau = fit_tau(log_chi, ln_sizes, i0, i1)
+        out.append(legendre_transform(tau, q)[2:])
     return out
 
 

@@ -4,7 +4,8 @@ For box size l dividing the series length T, the series tiles into N = T/l
 non-overlapping boxes and the mass of box n is the sum of its l values.
 Downstream moment computation never touches the raw weights u_n, only
 ln u_n = ln mass_n - ln total, so extreme moment orders stay in a safe
-floating range for either sign of q.
+floating range for either sign of q. Boxes are summed with numpy; only the
+total is a compensated sum.
 """
 
 from __future__ import annotations
@@ -45,24 +46,23 @@ class BoxMeasure:
         return int(self.raw_mass.size)
 
 
-def build_box_measure(series: PriceSeries, box_size: int) -> BoxMeasure:
-    """Tile ``series`` into boxes of ``box_size`` samples and sum each box.
+def box_log_weights(values: np.ndarray, box_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box masses of ``values`` tiled into boxes of ``box_size`` and their log-weights.
 
-    Box masses and their total are accumulated with compensated summation
-    (math.fsum) so mass conservation holds at 1e-12 relative and the total
-    is independent of the value ordering.
+    Each box is summed with numpy (relative error at most l * eps); the
+    normaliser is the compensated sum (math.fsum) of the box masses, so the
+    weights sum to 1 to 1e-12, the l = 1 weights do not depend on the value
+    order, and the single l = T log-weight is exactly 0.
     """
-    values = series.values
     l = int(box_size)
     T = values.size
     if l < 1 or T % l != 0:
         raise ValueError(f"box size {l} does not divide series length {T}")
-    n_boxes = T // l
-    if l == 1:
-        raw = values.copy()
-    else:
-        tiled = values.reshape(n_boxes, l)
-        raw = np.fromiter((math.fsum(row) for row in tiled), dtype=np.float64, count=n_boxes)
-    total = math.fsum(raw)
-    log_weights = np.log(raw) - math.log(total)
-    return BoxMeasure(box_size=l, raw_mass=raw, log_weights=log_weights)
+    raw = values.reshape(T // l, l).sum(axis=1)
+    return raw, np.log(raw) - math.log(math.fsum(raw))
+
+
+def build_box_measure(series: PriceSeries, box_size: int) -> BoxMeasure:
+    """Tile ``series`` into boxes of ``box_size`` samples and sum each box."""
+    raw, log_weights = box_log_weights(series.values, box_size)
+    return BoxMeasure(box_size=int(box_size), raw_mass=raw, log_weights=log_weights)

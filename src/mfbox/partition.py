@@ -89,26 +89,33 @@ class PartitionSurface:
         nq, nl = self.grid.size, len(self.scheme.sizes)
         if mat.shape != (nq, nl):
             raise ValueError(f"log_chi shape {mat.shape} != (n_q, n_l) = {(nq, nl)}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("partition surface contains non-finite entries")
-        # Normalization guards: chi_1 = 1 and chi_0 = N(l).
-        row1 = mat[self.grid.index_of(1.0)]
-        if np.max(np.abs(row1)) > _NORMALIZATION_TOL:
-            raise ValueError("ln chi at q=1 deviates from 0 beyond 1e-12")
-        row0 = mat[self.grid.index_of(0.0)]
-        ln_counts = np.log(np.asarray(self.scheme.box_counts, dtype=np.float64))
-        if np.max(np.abs(row0 - ln_counts)) > _NORMALIZATION_TOL:
-            raise ValueError("ln chi at q=0 deviates from ln N(l) beyond 1e-12")
+        check_log_chi(mat, self.grid.index_of(0.0), self.grid.index_of(1.0),
+                      np.log(np.asarray(self.scheme.box_counts, dtype=np.float64)))
         mat.flags.writeable = False
         object.__setattr__(self, "log_chi", mat)
 
 
+def check_log_chi(log_chi: np.ndarray, i0: int, i1: int, ln_counts: np.ndarray) -> None:
+    """Raise ValueError unless ln chi is finite, chi_1 = 1 and chi_0 = N(l) to 1e-12.
+
+    Rows ``i0`` and ``i1`` hold q = 0 and q = 1; ``ln_counts`` is ln N(l) per column.
+    """
+    if not np.all(np.isfinite(log_chi)):
+        raise ValueError("partition surface contains non-finite entries")
+    if np.max(np.abs(log_chi[i1])) > _NORMALIZATION_TOL:
+        raise ValueError("ln chi at q=1 deviates from 0 beyond 1e-12")
+    if np.max(np.abs(log_chi[i0] - ln_counts)) > _NORMALIZATION_TOL:
+        raise ValueError("ln chi at q=0 deviates from ln N(l) beyond 1e-12")
+
+
 def _log_moment_sums(log_weights: np.ndarray, q: np.ndarray) -> np.ndarray:
     """ln sum_n exp(q * ln u_n) for every q, summing in canonical order."""
-    lw = np.sort(log_weights)
-    z = q[:, None] * lw[None, :]
-    shift = z.max(axis=1)
-    return shift + np.log(np.exp(z - shift[:, None]).sum(axis=1))
+    z = np.multiply.outer(q, np.sort(log_weights))
+    # Each row q * ln u is monotone in the sorted ln u, so its maximum is an end.
+    shift = np.where(q >= 0.0, z[:, -1], z[:, 0])
+    z -= shift[:, None]
+    np.exp(z, out=z)
+    return shift + np.log(z.sum(axis=1))
 
 
 def log_partition_value(measure: BoxMeasure, q: float) -> float:

@@ -75,6 +75,22 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, stderr
 
 
+def fit_tau(log_chi: np.ndarray, ln_sizes: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """tau(q): OLS slopes of each ln chi row against ln l, anchor-checked.
+
+    Exact tiling forces tau(0) = -1 and tau(1) = 0 for any fitted surface
+    (rows ``i0`` and ``i1``); a violation beyond 1e-10 means the surface was
+    built wrong and raises ValueError.
+    """
+    xc = ln_sizes - ln_sizes.mean()
+    tau = (log_chi - log_chi.mean(axis=1, keepdims=True)) @ xc / (xc @ xc)
+    if abs(tau[i1]) > _TAU_ANCHOR_TOL:
+        raise ValueError("tau(1) deviates from 0 beyond 1e-10")
+    if abs(tau[i0] + 1.0) > _TAU_ANCHOR_TOL:
+        raise ValueError("tau(0) deviates from -1 beyond 1e-10")
+    return tau
+
+
 def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     """Fit tau(q) and the per-q Pearson correlations from a surface.
 
@@ -85,38 +101,29 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     sizes = np.asarray(surface.scheme.sizes, dtype=np.float64)
     if sizes.size < 2:
         raise ValueError("need at least 2 box sizes to fit scaling exponents")
-    x = np.log(sizes)
+    x, grid = np.log(sizes), surface.grid
+    tau = fit_tau(surface.log_chi, x, grid.index_of(0.0), grid.index_of(1.0))
+
     xc = x - x.mean()
     sxx = float(xc @ xc)
-
     Y = surface.log_chi
     yc = Y - Y.mean(axis=1, keepdims=True)
-    sxy = yc @ xc
-    tau = sxy / sxx
-
     syy = np.einsum("ij,ij->i", yc, yc)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = sxy / np.sqrt(sxx * syy)
+        r = tau * np.sqrt(sxx / syy)
     # Exactly collinear rows: r is the slope sign. Rows flat at the surface's
     # own 1e-12 tolerance (the q=1 identity row) have no correlation to
     # measure; their slope and r are round-off, pinned to 0.
-    ssr = syy - sxy ** 2 / sxx
+    ssr = syy - tau ** 2 * sxx
     collinear = ssr <= 1e-14 * syy
     r[collinear] = np.sign(tau[collinear])
     flat = syy <= sizes.size * 1e-24
     r[flat] = 0.0
     r = np.clip(r, -1.0, 1.0)
 
-    # Exact tiling forces tau(0) = -1 and tau(1) = 0 for any fitted surface;
-    # a violation means the surface was built wrong.
-    if abs(tau[surface.grid.index_of(1.0)]) > _TAU_ANCHOR_TOL:
-        raise ValueError("tau(1) deviates from 0 beyond 1e-10")
-    if abs(tau[surface.grid.index_of(0.0)] + 1.0) > _TAU_ANCHOR_TOL:
-        raise ValueError("tau(0) deviates from -1 beyond 1e-10")
-
-    alpha_bar, _, stderr = _ols_slope(surface.grid.q_values, tau)
+    alpha_bar, _, stderr = _ols_slope(grid.q_values, tau)
     return MassExponents(
-        grid=surface.grid, tau=tau, r=r, alpha_bar=alpha_bar, alpha_bar_stderr=stderr
+        grid=grid, tau=tau, r=r, alpha_bar=alpha_bar, alpha_bar_stderr=stderr
     )
 
 

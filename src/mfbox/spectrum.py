@@ -47,8 +47,8 @@ class SingularitySpectrum:
         object.__setattr__(self, "f", f)
 
 
-def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
-    """Transform fitted mass exponents into the singularity spectrum.
+def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """alpha, f, delta_alpha and f_mid of mass exponents ``tau`` on grid ``q``.
 
     alpha_min and alpha_max are taken over the whole grid rather than
     assumed to sit at the extreme q. f at each extremum is read at the grid
@@ -56,17 +56,19 @@ def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     the extreme q wins (largest q for alpha_min, smallest for alpha_max),
     matching where each extremum lives for a concave tau.
     """
-    q = exponents.grid.q_values
     if q.size < 3:
         raise ValueError("need at least 3 moment orders for finite differences")
-    tau = exponents.tau
     alpha = np.gradient(tau, q, edge_order=2)
     f = q * alpha - tau
 
     i_min = int(np.flatnonzero(alpha == alpha.min())[-1])
     i_max = int(np.flatnonzero(alpha == alpha.max())[0])
-    delta_alpha = float(alpha[i_max] - alpha[i_min])
-    f_mid = float(0.5 * (f[i_min] + f[i_max]))
+    return alpha, f, float(alpha[i_max] - alpha[i_min]), float(0.5 * (f[i_min] + f[i_max]))
+
+
+def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
+    """Transform fitted mass exponents into the singularity spectrum."""
+    alpha, f, delta_alpha, f_mid = legendre_transform(exponents.tau, exponents.grid.q_values)
     return SingularitySpectrum(
         grid=exponents.grid, alpha=alpha, f=f, delta_alpha=delta_alpha, f_mid=f_mid
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfbox.bootstrap
 from mfbox.bootstrap import (
     BootstrapConfig,
     batch_summary,
@@ -154,6 +155,69 @@ class TestBootstrapAnalysis:
         fitted = rep.k * rep.replicates[:, 0] + rep.b
         sd = np.std(rep.replicates[:, 1] - fitted)
         assert abs(rep.f_mid - (rep.k * rep.delta_alpha + rep.b)) <= 3 * sd
+
+
+class TestReplicatePath:
+    """Replicates skip the permutation-invariant work but not the full chain's result or guards."""
+
+    CASES = {
+        "walk240": (walk_day(12), MomentGrid.from_range()),
+        "cascade4096": (binomial_cascade(CascadeSpec(p=0.6, levels=12)), MomentGrid.from_range(-5, 5, 1.0)),
+        "divisors96": (random_positive_series(96, "iid-lognormal", seed=3, sigma=0.3), SMALL_GRID),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cloud_rows_equal_full_chain(self, case):
+        day, grid = self.CASES[case]
+        scheme = derive_box_scheme(day.length)
+        [cloud] = replicate_clouds([(day, scheme)], grid, BootstrapConfig(replicates=12, master_seed=3))
+        for i in (0, 1, 7, 11):
+            shuffled = PriceSeries(day.day_id, permuted_values(day.values, i, 3))
+            spec = analyze_series(shuffled, scheme, grid).spectrum
+            assert tuple(cloud[i]) == (spec.delta_alpha, spec.f_mid)
+
+    def test_prime_length_cloud_is_the_original_point(self):
+        day = walk_day(13, T=241)
+        assert derive_box_scheme(241).sizes == (1, 241)
+        rep = run_small(day, B=20, grid=MomentGrid.from_range())
+        assert np.array_equal(rep.replicates, np.tile([rep.delta_alpha, rep.f_mid], (20, 1)))
+        assert rep.p1 == rep.p2 == 1.0
+        assert rep.k is None and rep.b is None
+
+    def _run_walk(self):
+        day = walk_day(14)
+        cfg = BootstrapConfig(replicates=5, master_seed=1)
+        return replicate_clouds([(day, derive_box_scheme(240))], MomentGrid.from_range(), cfg, n_jobs=1)
+
+    def test_chi1_guard_runs_per_replicate(self, monkeypatch):
+        real, calls = mfbox.bootstrap._log_moment_sums, []
+        i1 = MomentGrid.from_range().index_of(1.0)
+
+        def off_in_third_replicate(log_weights, q):
+            out = real(log_weights, q)
+            calls.append(None)
+            if len(calls) == 2 + 2 * 12 + 5:  # l = 1, T once, then 12 sizes per replicate
+                out[i1] += 1e-11
+            return out
+
+        monkeypatch.setattr(mfbox.bootstrap, "_log_moment_sums", off_in_third_replicate)
+        with pytest.raises(ValueError, match="q=1"):
+            self._run_walk()
+        assert len(calls) == 2 + 2 * 12 + 12
+
+    def test_tau0_anchor_runs_per_replicate(self, monkeypatch):
+        real, calls = mfbox.bootstrap.fit_tau, []
+
+        def off_in_fourth_replicate(log_chi, ln_sizes, i0, i1):
+            calls.append(None)
+            if len(calls) == 4:  # slope of ln N(l) = ln T - ln l becomes -1 / (1 + 1e-9)
+                ln_sizes = ln_sizes * (1.0 + 1e-9)
+            return real(log_chi, ln_sizes, i0, i1)
+
+        monkeypatch.setattr(mfbox.bootstrap, "fit_tau", off_in_fourth_replicate)
+        with pytest.raises(ValueError, match=r"tau\(0\)"):
+            self._run_walk()
+        assert len(calls) == 4
 
 
 class TestBatchSummary:

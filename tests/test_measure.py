@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
-from mfbox.measure import build_box_measure
+from mfbox.measure import box_log_weights, build_box_measure
 from mfbox.synth import constant_series
 
 
@@ -63,6 +63,22 @@ class TestInvariants:
         s = random_series(3)
         for l in (1, 6, 40, 240):
             assert build_box_measure(s, l).box_count == 240 // l
+
+
+def fsum_box_masses(values, l):
+    """Reference: each box summed with compensated summation, one box at a time."""
+    return np.array([math.fsum(row) for row in values.reshape(values.size // l, l)])
+
+
+class TestNumpyBoxSums:
+    @pytest.mark.parametrize("T", [240, 390, 4096, 97])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_masses_match_fsum_loop(self, T, scale):
+        rng = np.random.default_rng(T)
+        values = scale * np.exp(3.0 * rng.standard_normal(T)) / np.exp(15.0)
+        for l in derive_box_scheme(T).sizes:
+            raw, _ = box_log_weights(values, l)
+            assert_allclose(raw, fsum_box_masses(values, l), rtol=l * np.finfo(float).eps, atol=0)
 
 
 class TestErrors:

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
@@ -169,3 +171,34 @@ def test_surface_csv_round_trip(tmp_path):
     body = np.loadtxt(lines[1:], delimiter=",")
     assert_allclose(body[:, 0], surf.grid.q_values, rtol=0, atol=0)
     assert_allclose(body[:, 1:], surf.log_chi, rtol=1e-11, atol=1e-11)
+
+
+@st.composite
+def days_and_permutations(draw):
+    """A day of length 2..512 with magnitudes in [1e-300, 1e300], and a permutation of it.
+
+    The cap of 1e300 keeps T * max finite, so every box mass is finite.
+    """
+    T = draw(st.integers(2, 512))
+    lo = draw(st.floats(-300.0, 300.0))
+    hi = draw(st.floats(lo, 300.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.minimum(10.0 ** rng.uniform(lo, hi, T), 1e300)
+    return PriceSeries("h", values), PriceSeries("h", rng.permutation(values))
+
+
+class TestSurfaceProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(days_and_permutations())
+    def test_normalization_rows_and_permutation_invariant_columns(self, pair):
+        day, shuffled = pair
+        scheme, grid = derive_box_scheme(day.length), MomentGrid.from_range()
+        a = partition_surface(day, scheme, grid).log_chi
+        b = partition_surface(shuffled, scheme, grid).log_chi
+        ln_counts = np.log(np.asarray(scheme.box_counts, dtype=float))
+        for surf in (a, b):
+            assert np.max(np.abs(surf[grid.index_of(1.0)])) <= 1e-12
+            assert np.max(np.abs(surf[grid.index_of(0.0)] - ln_counts)) <= 1e-12
+        # l = 1 is the first scheme size and l = T the last
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert np.array_equal(a[:, -1], b[:, -1])

@@ -1,4 +1,4 @@
-"""Shared helpers for writing deterministic text artifacts."""
+"""The artifact format: 12-digit CSV tables and JSON, written atomically."""
 
 from __future__ import annotations
 
@@ -6,26 +6,21 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 # Artifacts carry 12 significant digits: enough to round-trip every quantity
 # we report at its meaningful precision, few enough that round-off noise
 # (~1e-13 absolute after q = +-120 amplification) does not leak into bytes.
-FLOAT_SIG_DIGITS = 12
-
-
-def fmt_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.{FLOAT_SIG_DIGITS}g}"
+_FLOAT_FORMAT = "%.12g"
 
 
 def round_for_json(x: float | None) -> float | None:
-    """Round to the artifact precision so JSON bytes are format-stable."""
-    if x is None:
+    """Round to the artifact precision so JSON bytes are format-stable; NaN is null."""
+    if x is None or math.isnan(x):
         return None
-    if math.isnan(x):
-        return None
-    return float(fmt_float(x))
+    return float(_FLOAT_FORMAT % x)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -39,3 +34,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, obj: dict) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """CSV of the column-stacked arrays (1-D columns or 2-D blocks), every value 12 digits."""
+    table = np.column_stack(columns)
+    row = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    atomic_write_text(path, ",".join(header) + "\n" + body)

@@ -17,14 +17,12 @@ regardless of how replicates are scheduled across workers.
 
 from __future__ import annotations
 
-import io
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import atomic_write_text, fmt_float, round_for_json, write_json
 from .ingest import BoxScheme, PriceSeries
 from .measure import box_log_weights
 from .partition import MomentGrid, _log_moment_sums, check_log_chi
@@ -236,48 +234,4 @@ def batch_summary(reports: list[BootstrapReport], level: float) -> BatchSummary:
         pct_p1_significant=sum(r.p1 <= level for r in reports) / n,
         pct_p2_significant=sum(r.p2 <= level for r in reports) / n,
         per_day=list(reports),
-    )
-
-
-def report_to_dict(report: BootstrapReport, include_replicates: bool = False) -> dict:
-    out = {
-        "day": report.day_id,
-        "delta_alpha": round_for_json(report.delta_alpha),
-        "F": round_for_json(report.f_mid),
-        "k": round_for_json(report.k),
-        "b": round_for_json(report.b),
-        "p1": round_for_json(report.p1),
-        "p2": round_for_json(report.p2),
-        "significant_1": report.significant_1,
-        "significant_2": report.significant_2,
-    }
-    if include_replicates:
-        out["replicates"] = [
-            [round_for_json(d), round_for_json(f)] for d, f in report.replicates
-        ]
-    return out
-
-
-def write_report_json(report: BootstrapReport, path, include_replicates: bool = False) -> None:
-    write_json(path, report_to_dict(report, include_replicates=include_replicates))
-
-
-def write_scatter_csv(report: BootstrapReport, path) -> None:
-    buf = io.StringIO()
-    buf.write("delta_alpha_rnd,F_rnd\n")
-    for d, f in report.replicates:
-        buf.write(f"{fmt_float(d)},{fmt_float(f)}\n")
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_batch_summary_json(summary: BatchSummary, path) -> None:
-    write_json(
-        path,
-        {
-            "level": round_for_json(summary.level),
-            "n_days": len(summary.per_day),
-            "pct_p1_significant": round_for_json(summary.pct_p1_significant),
-            "pct_p2_significant": round_for_json(summary.pct_p2_significant),
-            "days": [report_to_dict(r) for r in summary.per_day],
-        },
     )

@@ -14,22 +14,18 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io
 import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._text import atomic_write_text, round_for_json, write_json
+from ._text import atomic_write_text, round_for_json, write_csv, write_json
 from .bootstrap import (
     BootstrapConfig,
     BootstrapReport,
     batch_summary,
     replicate_clouds,
     shuffle_report,
-    write_batch_summary_json,
-    write_report_json,
-    write_scatter_csv,
 )
 from .ingest import (
     BoxScheme,
@@ -39,10 +35,9 @@ from .ingest import (
     parse_intraday_csv,
     segment_by_day,
 )
-from .partition import MomentGrid, write_surface_csv
+from .partition import MomentGrid
 from .pipeline import DayAnalysis, analyze_series
-from .scaling import tau_linearity_report, write_tau_csv
-from .spectrum import write_spectrum_csv
+from .scaling import tau_linearity_report
 from .synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 EXIT_OK = 0
@@ -50,7 +45,7 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_NUMERIC = 4
 
-_EXPORT_CHOICES = ("surface", "tau", "spectrum", "scatter")
+_EXPORT_CHOICES = ("surface", "scatter")
 
 
 class ConfigError(Exception):
@@ -96,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--date-col", default="date")
         p.add_argument("--time-col", default="time")
         p.add_argument("--price-col", default="price")
-        p.add_argument("--export", default="", help=f"comma list from {_EXPORT_CHOICES}")
+        p.add_argument("--export", default="",
+                       help=f"comma list of optional tables from {_EXPORT_CHOICES}; "
+                            "tau.csv and spectrum.csv are always written")
         p.add_argument("--workers", type=int, default=1, help="worker processes")
 
     p_an = sub.add_parser("analyze", help="tau(q), spectrum, and summary per day")
@@ -199,35 +196,63 @@ def _scheme_for(cfg: RunConfig, length: int) -> BoxScheme:
 
 def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
     day_dir = cfg.outdir / analysis.series.day_id
-    linearity = tau_linearity_report(analysis.exponents)
-    write_tau_csv(analysis.exponents, day_dir / "tau.csv")
-    write_spectrum_csv(analysis.spectrum, day_dir / "spectrum.csv")
+    surface, exponents, spectrum = analysis.surface, analysis.exponents, analysis.spectrum
+    q = surface.grid.q_values
+    write_csv(day_dir / "tau.csv", ("q", "tau", "r"), (q, exponents.tau, exponents.r))
+    write_csv(day_dir / "spectrum.csv", ("q", "alpha", "f"), (q, spectrum.alpha, spectrum.f))
     if "surface" in cfg.export:
-        write_surface_csv(analysis.surface, day_dir / "surface.csv")
+        write_csv(day_dir / "surface.csv", ("q", *map(str, surface.scheme.sizes)),
+                  (q, surface.log_chi))
     write_json(
         day_dir / "summary.json",
         {
             "day": analysis.series.day_id,
             "length": analysis.series.length,
-            "alpha_bar": round_for_json(linearity.alpha_bar),
-            "alpha_bar_stderr": round_for_json(linearity.alpha_bar_stderr),
-            "max_tau_residual": round_for_json(linearity.max_abs_residual_from_line),
-            "delta_alpha": round_for_json(analysis.spectrum.delta_alpha),
-            "F": round_for_json(analysis.spectrum.f_mid),
+            "alpha_bar": round_for_json(exponents.alpha_bar),
+            "alpha_bar_stderr": round_for_json(exponents.alpha_bar_stderr),
+            "max_tau_residual": round_for_json(tau_linearity_report(exponents)),
+            "delta_alpha": round_for_json(spectrum.delta_alpha),
+            "F": round_for_json(spectrum.f_mid),
         },
     )
+
+
+def _report_dict(report: BootstrapReport, include_replicates: bool = False) -> dict:
+    out = {
+        "day": report.day_id,
+        "delta_alpha": round_for_json(report.delta_alpha),
+        "F": round_for_json(report.f_mid),
+        "k": round_for_json(report.k),
+        "b": round_for_json(report.b),
+        "p1": round_for_json(report.p1),
+        "p2": round_for_json(report.p2),
+        "significant_1": report.significant_1,
+        "significant_2": report.significant_2,
+    }
+    if include_replicates:
+        out["replicates"] = [[round_for_json(d), round_for_json(f)]
+                             for d, f in report.replicates.tolist()]
+    return out
 
 
 def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -> None:
     for report in reports:
         day_dir = cfg.outdir / report.day_id
-        write_report_json(
-            report, day_dir / "shuffle_test.json", include_replicates=cfg.store_replicates
-        )
+        write_json(day_dir / "shuffle_test.json", _report_dict(report, cfg.store_replicates))
         if "scatter" in cfg.export:
-            write_scatter_csv(report, day_dir / "scatter.csv")
+            write_csv(day_dir / "scatter.csv", ("delta_alpha_rnd", "F_rnd"), (report.replicates,))
     if len(reports) > 1 or cfg.command == "batch":
-        write_batch_summary_json(batch_summary(reports, cfg.level), cfg.outdir / "batch_summary.json")
+        summary = batch_summary(reports, cfg.level)
+        write_json(
+            cfg.outdir / "batch_summary.json",
+            {
+                "level": round_for_json(summary.level),
+                "n_days": len(summary.per_day),
+                "pct_p1_significant": round_for_json(summary.pct_p1_significant),
+                "pct_p2_significant": round_for_json(summary.pct_p2_significant),
+                "days": [_report_dict(r) for r in summary.per_day],
+            },
+        )
 
 
 def run_days(cfg: RunConfig) -> int:
@@ -275,13 +300,12 @@ def _synth_day(args: argparse.Namespace, index: int, day_id: str) -> PriceSeries
 
 def write_series_csv(days: list[PriceSeries], path) -> None:
     """Standard ingestion CSV; prices as shortest round-trip decimals."""
-    buf = io.StringIO()
-    buf.write("date,time,price\n")
+    lines = ["date,time,price\n"]
     for day in days:
-        for i, value in enumerate(day.values):
+        for i, value in enumerate(day.values.tolist()):
             minute = (9 * 60 + 30 + i) % (24 * 60)
-            buf.write(f"{day.day_id},{minute // 60:02d}:{minute % 60:02d},{float(value)!r}\n")
-    atomic_write_text(path, buf.getvalue())
+            lines.append(f"{day.day_id},{minute // 60:02d}:{minute % 60:02d},{value!r}\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def run_synth(args: argparse.Namespace) -> int:

@@ -112,7 +112,6 @@ class DaySegmentation:
 
     days: list[PriceSeries]
     dropped: list[DroppedDay] = field(default_factory=list)
-    modal_length: int | None = None
 
 
 def parse_intraday_csv(
@@ -184,7 +183,7 @@ def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
             clean[day_id] = vals
 
     if not clean:
-        return DaySegmentation(days=[], dropped=dropped, modal_length=None)
+        return DaySegmentation(days=[], dropped=dropped)
 
     counts = Counter(len(v) for v in clean.values())
     modal_length = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
@@ -199,7 +198,7 @@ def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
             dropped.append(DroppedDay(day_id, vals.size, "day shorter than 2 bars"))
         else:
             days.append(PriceSeries(day_id=day_id, values=vals))
-    return DaySegmentation(days=days, dropped=dropped, modal_length=modal_length)
+    return DaySegmentation(days=days, dropped=dropped)
 
 
 def _divisors(T: int) -> list[int]:

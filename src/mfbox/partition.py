@@ -11,12 +11,10 @@ masses themselves are permutation-invariant (l = 1 and l = T).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import atomic_write_text, fmt_float
 from .ingest import BoxScheme, PriceSeries
 from .measure import BoxMeasure, build_box_measure
 
@@ -144,12 +142,3 @@ def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) 
         m = build_box_measure(series, l)
         columns.append(_log_moment_sums(m.log_weights, q))
     return PartitionSurface(grid=grid, scheme=scheme, log_chi=np.column_stack(columns))
-
-
-def write_surface_csv(surface: PartitionSurface, path) -> None:
-    """CSV with one row per q and one ln chi column per box size."""
-    buf = io.StringIO()
-    buf.write("q," + ",".join(str(l) for l in surface.scheme.sizes) + "\n")
-    for qi, row in zip(surface.grid.q_values, surface.log_chi):
-        buf.write(fmt_float(qi) + "," + ",".join(fmt_float(v) for v in row) + "\n")
-    atomic_write_text(path, buf.getvalue())

@@ -8,14 +8,11 @@ against q, reported with its OLS standard error.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._text import atomic_write_text, fmt_float
 from .partition import MomentGrid, PartitionSurface
 
 _TAU_ANCHOR_TOL = 1e-10
@@ -46,12 +43,6 @@ class MassExponents:
         r.flags.writeable = False
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "r", r)
-
-
-class TauLinearityReport(NamedTuple):
-    alpha_bar: float
-    alpha_bar_stderr: float
-    max_abs_residual_from_line: float
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -127,8 +118,8 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     )
 
 
-def tau_linearity_report(exponents: MassExponents) -> TauLinearityReport:
-    """The fitted alpha_bar line through (q, tau) and the largest deviation from it.
+def tau_linearity_report(exponents: MassExponents) -> float:
+    """The largest deviation of tau from the fitted alpha_bar line through (q, tau).
 
     A small maximum residual is the direct evidence that the measure is
     monofractal (tau linear in q).
@@ -136,16 +127,4 @@ def tau_linearity_report(exponents: MassExponents) -> TauLinearityReport:
     q, tau, slope = exponents.grid.q_values, exponents.tau, exponents.alpha_bar
     intercept = float(tau.mean() - slope * q.mean())
     resid = tau - (slope * q + intercept)
-    return TauLinearityReport(
-        alpha_bar=slope,
-        alpha_bar_stderr=exponents.alpha_bar_stderr,
-        max_abs_residual_from_line=float(np.max(np.abs(resid))),
-    )
-
-
-def write_tau_csv(exponents: MassExponents, path) -> None:
-    buf = io.StringIO()
-    buf.write("q,tau,r\n")
-    for qi, ti, ri in zip(exponents.grid.q_values, exponents.tau, exponents.r):
-        buf.write(f"{fmt_float(qi)},{fmt_float(ti)},{fmt_float(ri)}\n")
-    atomic_write_text(path, buf.getvalue())
+    return float(np.max(np.abs(resid)))

@@ -9,12 +9,10 @@ therefore holds exactly by construction.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import atomic_write_text, fmt_float
 from .partition import MomentGrid
 from .scaling import MassExponents
 
@@ -72,11 +70,3 @@ def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     return SingularitySpectrum(
         grid=exponents.grid, alpha=alpha, f=f, delta_alpha=delta_alpha, f_mid=f_mid
     )
-
-
-def write_spectrum_csv(spectrum: SingularitySpectrum, path) -> None:
-    buf = io.StringIO()
-    buf.write("q,alpha,f\n")
-    for qi, ai, fi in zip(spectrum.grid.q_values, spectrum.alpha, spectrum.f):
-        buf.write(f"{fmt_float(qi)},{fmt_float(ai)},{fmt_float(fi)}\n")
-    atomic_write_text(path, buf.getvalue())

@@ -1,5 +1,6 @@
-"""The public namespace and the names the benchmark's tracer patches."""
+"""The public namespace, the names the benchmark's tracer patches, and the import layering."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -32,3 +33,28 @@ def test_traced_functions_resolve():
     hooks.append(("mfbox.partition", "log_partition_value"))
     for module, fn in hooks:
         assert callable(getattr(importlib.import_module(module), fn, None)), f"{module}.{fn}"
+
+
+def imported_names(tree):
+    """Absolute dotted names of every module and member a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "mfbox" + (f".{base}" if base else "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_cli_formats_artifacts():
+    # The artifact format lives in _text and its layouts in cli; the stage
+    # modules only compute.
+    sources = sorted(Path(mfbox.__file__).parent.glob("*.py"))
+    assert {p.stem for p in sources} >= {"cli", "_text", "partition", "scaling", "bootstrap"}
+    for path in sources:
+        names = set(imported_names(ast.parse(path.read_text(encoding="utf-8"))))
+        assert not any(n == "io" or n.startswith("io.") for n in names), path.name
+        if path.stem != "cli":
+            assert "mfbox._text" not in names, path.name

@@ -1,10 +1,8 @@
-import json
 import logging
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import mfbox.bootstrap
 from mfbox.bootstrap import (
@@ -14,11 +12,7 @@ from mfbox.bootstrap import (
     derive_replicate_seed,
     permuted_values,
     replicate_clouds,
-    report_to_dict,
     scatter_fit,
-    write_batch_summary_json,
-    write_report_json,
-    write_scatter_csv,
 )
 from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.partition import MomentGrid
@@ -235,42 +229,6 @@ class TestBatchSummary:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             batch_summary([], 0.05)
-
-
-class TestSerialization:
-    def test_report_dict_keys(self):
-        rep = run_small(walk_day(7, T=60), B=8)
-        d = report_to_dict(rep)
-        assert set(d) == {"day", "delta_alpha", "F", "k", "b", "p1", "p2",
-                          "significant_1", "significant_2"}
-        d2 = report_to_dict(rep, include_replicates=True)
-        assert len(d2["replicates"]) == 8
-
-    def test_degenerate_kb_serialize_as_null(self, tmp_path):
-        rep = run_small(constant_series(60, 1.0), B=5)
-        path = tmp_path / "report.json"
-        write_report_json(rep, path)
-        loaded = json.loads(path.read_text())
-        assert loaded["k"] is None and loaded["b"] is None
-        assert loaded["p1"] == 1.0
-
-    def test_scatter_csv(self, tmp_path):
-        rep = run_small(walk_day(8, T=60), B=12)
-        path = tmp_path / "scatter.csv"
-        write_scatter_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "delta_alpha_rnd,F_rnd"
-        body = np.loadtxt(lines[1:], delimiter=",")
-        assert body.shape == (12, 2)
-        assert_allclose(body, rep.replicates, rtol=1e-11, atol=1e-13)
-
-    def test_batch_summary_json(self, tmp_path):
-        reports = [run_small(walk_day(s, T=60), B=6) for s in range(2)]
-        path = tmp_path / "batch.json"
-        write_batch_summary_json(batch_summary(reports, 0.05), path)
-        loaded = json.loads(path.read_text())
-        assert loaded["n_days"] == 2
-        assert len(loaded["days"]) == 2
 
 
 class TestConfig:

@@ -9,10 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mfbox
+from mfbox.bootstrap import BootstrapConfig, bootstrap_analysis
 from mfbox.cli import main, write_series_csv
-from mfbox.ingest import parse_intraday_csv, segment_by_day
+from mfbox.ingest import PriceSeries, derive_box_scheme, parse_intraday_csv, segment_by_day
+from mfbox.partition import MomentGrid
 from mfbox.pipeline import analyze_series
-from mfbox.synth import random_positive_series
+from mfbox.synth import constant_series, random_positive_series
 
 
 def run(*argv):
@@ -67,6 +69,103 @@ class TestSynthAndAnalyze:
         summary = json.loads((out / "2000-01-03" / "summary.json").read_text())
         analytic = analytic_binomial_alpha(0.6, -120.0) - analytic_binomial_alpha(0.6, 120.0)
         assert abs(summary["delta_alpha"] - analytic) / analytic < 0.15
+
+
+def read_table(path):
+    lines = path.read_text().splitlines()
+    return lines[0], np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+
+
+def analyze_via_cli(tmp_path, day, *flags):
+    """Write ``day`` as CSV, run ``mfbox analyze`` on it and return the day's output dir."""
+    write_series_csv([day], tmp_path / "in.csv")
+    assert run("analyze", "--input", str(tmp_path / "in.csv"), "--outdir", str(tmp_path / "out"),
+               *flags) == 0
+    return tmp_path / "out" / day.day_id
+
+
+def shuffle_via_cli(tmp_path, days, B, *flags):
+    """``mfbox shuffle-test`` on ``days`` (seed 99, q = -8..8), beside the in-memory reports."""
+    write_series_csv(days, tmp_path / "in.csv")
+    assert run("shuffle-test", "--input", str(tmp_path / "in.csv"), "--outdir",
+               str(tmp_path / "out"), "--bootstrap", str(B), "--seed", "99",
+               "--q-min", "-8", "--q-max", "8", *flags) == 0
+    cfg = BootstrapConfig(replicates=B, master_seed=99)
+    grid = MomentGrid.from_range(-8, 8, 1.0)
+    return tmp_path / "out", [bootstrap_analysis(d, derive_box_scheme(d.length), grid, cfg)
+                              for d in days]
+
+
+def walk_day(seed, T=60):
+    return random_positive_series(T, "intraday-walk", seed=seed, sigma=0.0005, initial=15000)
+
+
+class TestAnalysisTables:
+    def test_surface_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(4)
+        day = PriceSeries("2001-01-02", np.exp(rng.standard_normal(12)))
+        day_dir = analyze_via_cli(tmp_path, day, "--q-min", "-3", "--q-max", "3",
+                                  "--export", "surface")
+        surf = analyze_series(day, derive_box_scheme(12), MomentGrid(np.arange(-3.0, 4.0))).surface
+        header, body = read_table(day_dir / "surface.csv")
+        assert header == "q," + ",".join(str(l) for l in surf.scheme.sizes)
+        assert_allclose(body[:, 0], surf.grid.q_values, rtol=0, atol=0)
+        assert_allclose(body[:, 1:], surf.log_chi, rtol=1e-11, atol=1e-11)
+
+    def test_spectrum_csv(self, tmp_path):
+        day = constant_series(12, 1.0, day_id="2001-01-02")
+        day_dir = analyze_via_cli(tmp_path, day, "--q-min", "-3", "--q-max", "3")
+        spec = analyze_series(day, grid=MomentGrid(np.arange(-3.0, 4.0))).spectrum
+        header, body = read_table(day_dir / "spectrum.csv")
+        assert header == "q,alpha,f"
+        assert_allclose(body[:, 1], spec.alpha, atol=1e-11)
+        assert_allclose(body[:, 2], spec.f, atol=1e-11)
+
+    def test_tau_csv(self, tmp_path):
+        day = constant_series(12, 2.0, day_id="2001-01-02")
+        me = analyze_series(day).exponents
+        header, body = read_table(analyze_via_cli(tmp_path, day) / "tau.csv")
+        assert header == "q,tau,r"
+        assert body.shape == (me.grid.size, 3)
+        assert_allclose(body[:, 1], me.tau, atol=1e-11)
+
+
+class TestSerialization:
+    def test_report_dict_keys(self, tmp_path):
+        day = walk_day(7)
+        out, [rep] = shuffle_via_cli(tmp_path / "a", [day], 8)
+        d = json.loads((out / day.day_id / "shuffle_test.json").read_text())
+        assert set(d) == {"day", "delta_alpha", "F", "k", "b", "p1", "p2",
+                          "significant_1", "significant_2"}
+        assert_allclose([d["p1"], d["p2"]], [rep.p1, rep.p2], rtol=1e-11)
+        out, _ = shuffle_via_cli(tmp_path / "b", [day], 8, "--store-replicates")
+        d2 = json.loads((out / day.day_id / "shuffle_test.json").read_text())
+        assert len(d2["replicates"]) == 8
+        assert_allclose(d2["replicates"], rep.replicates, rtol=1e-11, atol=1e-13)
+
+    def test_degenerate_kb_serialize_as_null(self, tmp_path):
+        day = constant_series(60, 1.0, day_id="2001-01-02")
+        out, [rep] = shuffle_via_cli(tmp_path, [day], 5)
+        loaded = json.loads((out / day.day_id / "shuffle_test.json").read_text())
+        assert rep.k is None and rep.b is None
+        assert loaded["k"] is None and loaded["b"] is None
+        assert loaded["p1"] == 1.0
+
+    def test_scatter_csv(self, tmp_path):
+        day = walk_day(8)
+        out, [rep] = shuffle_via_cli(tmp_path, [day], 12, "--export", "scatter")
+        header, body = read_table(out / day.day_id / "scatter.csv")
+        assert header == "delta_alpha_rnd,F_rnd"
+        assert body.shape == (12, 2)
+        assert_allclose(body, rep.replicates, rtol=1e-11, atol=1e-13)
+
+    def test_batch_summary_json(self, tmp_path):
+        out, reports = shuffle_via_cli(tmp_path, [walk_day(s) for s in range(2)], 6)
+        loaded = json.loads((out / "batch_summary.json").read_text())
+        assert loaded["n_days"] == 2
+        assert len(loaded["days"]) == 2
+        assert [d["day"] for d in loaded["days"]] == [r.day_id for r in reports]
+        assert_allclose([d["p1"] for d in loaded["days"]], [r.p1 for r in reports], rtol=1e-11)
 
 
 class TestRoundTrip:
@@ -171,6 +270,12 @@ class TestExitCodes:
     def test_bad_level_is_config_error(self, walk_csv, tmp_path):
         assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
                    "--level", "1.5") == 2
+
+    @pytest.mark.parametrize("item", ["tau", "spectrum"])
+    def test_always_written_tables_are_not_export_items(self, walk_csv, tmp_path, capsys, item):
+        assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
+                   "--export", item) == 2
+        assert "('surface', 'scatter')" in capsys.readouterr().err
 
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2

@@ -105,16 +105,16 @@ class TestSegmentByDay:
                 + make_records("d2", [2.0] * 240)
                 + make_records("d3", [3.0] * 180))
         seg = segment_by_day(recs)
-        assert seg.modal_length == 240
         assert [d.day_id for d in seg.days] == ["d1", "d2"]
         assert seg.dropped[0].day_id == "d3"
-        assert "modal" in seg.dropped[0].reason
+        assert "modal length 240" in seg.dropped[0].reason
 
     def test_modal_tie_prefers_longer(self):
         recs = make_records("d1", [1.0] * 100) + make_records("d2", [1.0] * 200)
         seg = segment_by_day(recs)
-        assert seg.modal_length == 200
         assert [d.day_id for d in seg.days] == ["d2"]
+        assert [d.day_id for d in seg.dropped] == ["d1"]
+        assert "modal length 200" in seg.dropped[0].reason
 
     @pytest.mark.parametrize("day_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_unsafe_day_id_dropped(self, day_id):

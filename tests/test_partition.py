@@ -14,7 +14,6 @@ from mfbox.partition import (
     PartitionSurface,
     log_partition_value,
     partition_surface,
-    write_surface_csv,
 )
 from mfbox.synth import constant_series
 
@@ -159,18 +158,6 @@ class TestSurface:
         bad[surf.grid.index_of(1.0), 0] = 0.5
         with pytest.raises(ValueError, match="q=1"):
             PartitionSurface(grid=surf.grid, scheme=surf.scheme, log_chi=bad)
-
-
-def test_surface_csv_round_trip(tmp_path):
-    s = random_series(4, T=12)
-    surf = partition_surface(s, derive_box_scheme(12), MomentGrid(np.arange(-3.0, 4.0)))
-    path = tmp_path / "surface.csv"
-    write_surface_csv(surf, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q," + ",".join(str(l) for l in surf.scheme.sizes)
-    body = np.loadtxt(lines[1:], delimiter=",")
-    assert_allclose(body[:, 0], surf.grid.q_values, rtol=0, atol=0)
-    assert_allclose(body[:, 1:], surf.log_chi, rtol=1e-11, atol=1e-11)
 
 
 @st.composite

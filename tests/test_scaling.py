@@ -9,7 +9,6 @@ from mfbox.scaling import (
     _ols_slope,
     fit_mass_exponents,
     tau_linearity_report,
-    write_tau_csv,
 )
 from mfbox.synth import constant_series
 
@@ -109,36 +108,25 @@ class TestScaleEquivariance:
 class TestLinearityReport:
     def test_exact_line_has_zero_residual(self):
         q = np.arange(-120.0, 121.0)
-        rep = tau_linearity_report(synthetic_exponents(q, q - 1.0))
-        assert rep.max_abs_residual_from_line == 0.0
-        assert rep.alpha_bar == 1.0
+        me = synthetic_exponents(q, q - 1.0)
+        assert tau_linearity_report(me) == 0.0
+        assert me.alpha_bar == 1.0
 
     def test_quadratic_tau_against_polyfit_oracle(self):
         eps = 1e-5
         q = np.arange(-120.0, 121.0)
         tau = q - eps * q ** 2 / 2 - 1.0
-        rep = tau_linearity_report(synthetic_exponents(q, tau))
+        me = synthetic_exponents(q, tau)
+        residual = tau_linearity_report(me)
         coef = np.polyfit(q, tau, 1)
         oracle = np.max(np.abs(tau - np.polyval(coef, q)))
-        assert np.isclose(rep.max_abs_residual_from_line, oracle, rtol=1e-12)
+        assert np.isclose(residual, oracle, rtol=1e-12)
         # closed form: extreme residual eps/2 * (q_max^2 - mean(q^2))
         closed = eps / 2 * (120.0 ** 2 - np.mean(q ** 2))
-        assert np.isclose(rep.max_abs_residual_from_line, closed, rtol=1e-9)
-        assert np.isclose(rep.alpha_bar, 1.0, atol=1e-12)
+        assert np.isclose(residual, closed, rtol=1e-9)
+        assert np.isclose(me.alpha_bar, 1.0, atol=1e-12)
 
     def test_monofractal_day_reports_tiny_residual(self):
         me = fitted(random_series(0, sigma=0.001))
-        rep = tau_linearity_report(me)
-        assert rep.max_abs_residual_from_line < 1e-3
-        assert abs(rep.alpha_bar - 1.0) < 1e-3
-
-
-def test_tau_csv(tmp_path):
-    me = fitted(constant_series(12, 2.0))
-    path = tmp_path / "tau.csv"
-    write_tau_csv(me, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,tau,r"
-    body = np.loadtxt(lines[1:], delimiter=",")
-    assert body.shape == (me.grid.size, 3)
-    assert_allclose(body[:, 1], me.tau, atol=1e-11)
+        assert tau_linearity_report(me) < 1e-3
+        assert abs(me.alpha_bar - 1.0) < 1e-3

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from mfbox.partition import MomentGrid, partition_surface
 from mfbox.pipeline import analyze_series
 from mfbox.scaling import MassExponents, fit_mass_exponents
-from mfbox.spectrum import legendre_spectrum, write_spectrum_csv
+from mfbox.spectrum import legendre_spectrum
 from mfbox.synth import (
     CascadeSpec,
     analytic_binomial_alpha,
@@ -130,14 +130,3 @@ def test_constant_series_full_pipeline():
     spec = analyze_series(constant_series(240, 5.0)).spectrum
     assert spec.delta_alpha <= 1e-9
     assert abs(spec.f_mid - 1.0) <= 1e-9
-
-
-def test_spectrum_csv(tmp_path):
-    spec = analyze_series(constant_series(12, 1.0), grid=MomentGrid(np.arange(-3.0, 4.0))).spectrum
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(spec, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,alpha,f"
-    body = np.loadtxt(lines[1:], delimiter=",")
-    assert_allclose(body[:, 1], spec.alpha, atol=1e-11)
-    assert_allclose(body[:, 2], spec.f, atol=1e-11)

@@ -18,6 +18,7 @@ regardless of how replicates are scheduled across workers.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -149,12 +150,12 @@ def replicate_clouds(
 ) -> list[np.ndarray]:
     """The (B, 2) replicate cloud of every (series, scheme) day, in day order.
 
-    With n_jobs > 1 each day's replicates are split into min(4 * n_jobs, B)
-    blocks and every (day, block) task runs on one process pool; otherwise
-    all tasks run in this process. Replicates are keyed by index, so the
-    clouds are bit-identical however the tasks are scheduled.
+    n_jobs is capped at the CPU count; above 1, each day's replicates are split
+    into min(4 * n_jobs, B) blocks and every (day, block) task runs on one
+    process pool, otherwise all tasks run in this process. Replicates are keyed
+    by index, so the clouds are bit-identical however the tasks are scheduled.
     """
-    B = cfg.replicates
+    B, n_jobs = cfg.replicates, min(n_jobs, os.cpu_count() or 1)
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
     tasks = [(series, scheme, grid, cfg.master_seed, block)
              for series, scheme in days for block in blocks]
@@ -170,13 +171,15 @@ def replicate_clouds(
 def shuffle_report(
     day_id: str, spectrum: SingularitySpectrum, replicates: np.ndarray, cfg: BootstrapConfig
 ) -> BootstrapReport:
-    """Score the original day's spectrum against its replicate cloud."""
+    """Score the original day's spectrum against its (B, 2) replicate cloud, B >= 1."""
+    B = len(replicates)
+    if B == 0:
+        raise ValueError(f"day {day_id}: empty replicate cloud")
     try:
         k, b = scatter_fit(replicates)
     except ValueError:
         k, b = None, None
 
-    B = cfg.replicates
     p1 = float(np.count_nonzero(spectrum.delta_alpha <= replicates[:, 0])) / B
     p2 = float(np.count_nonzero(spectrum.f_mid >= replicates[:, 1])) / B
     if abs(p1 - p2) > 0.1:

@@ -6,6 +6,11 @@ Subcommands:
     batch         analyze + shuffle-test for every day, plus batch summary
     synth         generate synthetic control data in the ingestion format
 
+Only shuffle-test and batch take --bootstrap, --level and --store-replicates,
+and --export takes only the tables the command writes; analyze accepts but
+ignores --seed and --workers. The parser owns every default, and MomentGrid
+and BootstrapConfig own the range checks.
+
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
 4 numeric failure.
 """
@@ -45,7 +50,7 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_NUMERIC = 4
 
-_EXPORT_CHOICES = ("surface", "scatter")
+_EXPORTS = {"analyze": ("surface",), "shuffle-test": ("scatter",), "batch": ("surface", "scatter")}
 
 
 class ConfigError(Exception):
@@ -54,22 +59,20 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One analyze/shuffle-test/batch run; ``shuffle`` is None for analyze."""
+
     command: str
     input: Path
     outdir: Path
-    q_min: float = -120.0
-    q_max: float = 120.0
-    q_step: float = 1.0
-    boxes: tuple[int, ...] | None = None
-    bootstrap_b: int = 1000
-    master_seed: int = 0
-    level: float = 0.05
-    date_col: str = "date"
-    time_col: str = "time"
-    price_col: str = "price"
-    export: frozenset = frozenset()
-    workers: int = 1
-    store_replicates: bool = False
+    grid: MomentGrid
+    boxes: tuple[int, ...] | None
+    shuffle: BootstrapConfig | None
+    date_col: str
+    time_col: str
+    price_col: str
+    export: frozenset
+    workers: int
+    store_replicates: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,34 +81,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Box-counting multifractal analysis with shuffle significance tests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, help_text in (("analyze", "tau(q), spectrum, and summary per day"),
+                            ("shuffle-test", "shuffle significance test per day"),
+                            ("batch", "analyze + shuffle-test for every day")):
+        p = sub.add_parser(name, help=help_text)
+        shuffles = name != "analyze"
+        unused = "" if shuffles else " (shuffle test only; analyze ignores it)"
         p.add_argument("--input", required=True, help="input CSV of minute bars")
         p.add_argument("--outdir", required=True, help="directory for artifacts")
         p.add_argument("--q-min", type=float, default=-120.0)
         p.add_argument("--q-max", type=float, default=120.0)
         p.add_argument("--q-step", type=float, default=1.0)
         p.add_argument("--boxes", default=None, help="comma list overriding the box sizes")
-        p.add_argument("--seed", type=int, default=0, help="master seed for shuffling")
-        p.add_argument("--level", type=float, default=0.05, help="significance level")
-        p.add_argument("--date-col", default="date")
-        p.add_argument("--time-col", default="time")
-        p.add_argument("--price-col", default="price")
+        for column in ("date", "time", "price"):
+            p.add_argument(f"--{column}-col", default=column)
         p.add_argument("--export", default="",
-                       help=f"comma list of optional tables from {_EXPORT_CHOICES}; "
-                            "tau.csv and spectrum.csv are always written")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
-
-    p_an = sub.add_parser("analyze", help="tau(q), spectrum, and summary per day")
-    add_common(p_an)
-
-    for name, help_text in (("shuffle-test", "shuffle significance test per day"),
-                            ("batch", "analyze + shuffle-test for every day")):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.add_argument("--bootstrap", type=int, default=1000, help="shuffle replicates per day")
-        p.add_argument("--store-replicates", action="store_true",
-                       help="embed the replicate cloud in the report JSON")
+                       help=f"comma list of optional tables from {_EXPORTS[name]}; "
+                            "the other tables are always written")
+        p.add_argument("--seed", type=int, default=0, help="master seed for shuffling" + unused)
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes, at most the CPU count" + unused)
+        if shuffles:
+            p.add_argument("--bootstrap", type=int, default=1000, help="shuffle replicates per day")
+            p.add_argument("--level", type=float, default=0.05, help="significance level")
+            p.add_argument("--store-replicates", action="store_true",
+                           help="embed the replicate cloud in the report JSON")
 
     p_sy = sub.add_parser("synth", help="write synthetic control data as CSV")
     p_sy.add_argument("--out", required=True, help="output CSV path")
@@ -134,43 +134,25 @@ def _parse_boxes(text: str | None) -> tuple[int, ...] | None:
         raise ConfigError(f"--boxes must be a comma list of integers, got {text!r}") from exc
 
 
-def _parse_export(text: str) -> frozenset:
-    items = frozenset(tok.strip() for tok in text.split(",") if tok.strip())
-    unknown = items - set(_EXPORT_CHOICES)
-    if unknown:
-        raise ConfigError(f"unknown --export item(s) {sorted(unknown)}; choose from {_EXPORT_CHOICES}")
-    return items
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    bootstrap_b = getattr(args, "bootstrap", 1000)
-    if bootstrap_b < 1:
-        raise ConfigError(f"--bootstrap must be >= 1, got {bootstrap_b}")
-    if not (0.0 < args.level < 1.0):
-        raise ConfigError(f"--level must be in (0, 1), got {args.level}")
+    choices = _EXPORTS[args.command]
+    export = frozenset(tok.strip() for tok in args.export.split(",") if tok.strip())
+    if not export <= set(choices):
+        raise ConfigError(f"{args.command} cannot --export {sorted(export - set(choices))}; "
+                          f"choose from {choices}")
     try:
-        MomentGrid.from_range(args.q_min, args.q_max, args.q_step)
+        grid = MomentGrid.from_range(args.q_min, args.q_max, args.q_step)
+        shuffle = None if args.command == "analyze" else BootstrapConfig(
+            replicates=args.bootstrap, master_seed=args.seed, significance_level=args.level)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(
-        command=args.command,
-        input=Path(args.input),
-        outdir=Path(args.outdir),
-        q_min=args.q_min,
-        q_max=args.q_max,
-        q_step=args.q_step,
-        boxes=_parse_boxes(args.boxes),
-        bootstrap_b=bootstrap_b,
-        master_seed=args.seed,
-        level=args.level,
-        date_col=args.date_col,
-        time_col=args.time_col,
-        price_col=args.price_col,
-        export=_parse_export(args.export),
-        workers=args.workers,
-        store_replicates=getattr(args, "store_replicates", False),
+        command=args.command, input=Path(args.input), outdir=Path(args.outdir), grid=grid,
+        boxes=_parse_boxes(args.boxes), shuffle=shuffle, date_col=args.date_col,
+        time_col=args.time_col, price_col=args.price_col, export=export, workers=args.workers,
+        store_replicates=shuffle is not None and args.store_replicates,
     )
 
 
@@ -242,7 +224,7 @@ def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -
         if "scatter" in cfg.export:
             write_csv(day_dir / "scatter.csv", ("delta_alpha_rnd", "F_rnd"), (report.replicates,))
     if len(reports) > 1 or cfg.command == "batch":
-        summary = batch_summary(reports, cfg.level)
+        summary = batch_summary(reports, cfg.shuffle.significance_level)
         write_json(
             cfg.outdir / "batch_summary.json",
             {
@@ -263,21 +245,17 @@ def run_days(cfg: RunConfig) -> int:
     replicates to one scheduler and scores each day against its cloud.
     """
     days = _load_days(cfg)
-    grid = MomentGrid.from_range(cfg.q_min, cfg.q_max, cfg.q_step)
     tested = []  # (series, scheme, spectrum) per day to shuffle-test
     for day in days:
         scheme = _scheme_for(cfg, day.length)
-        analysis = analyze_series(day, scheme, grid)
+        analysis = analyze_series(day, scheme, cfg.grid)
         if cfg.command != "shuffle-test":
             _write_analysis_artifacts(cfg, analysis)
         if cfg.command != "analyze":
             tested.append((day, scheme, analysis.spectrum))
     if tested:
-        boot_cfg = BootstrapConfig(
-            replicates=cfg.bootstrap_b, master_seed=cfg.master_seed, significance_level=cfg.level
-        )
-        clouds = replicate_clouds([(d, s) for d, s, _ in tested], grid, boot_cfg, cfg.workers)
-        reports = [shuffle_report(day.day_id, spectrum, cloud, boot_cfg)
+        clouds = replicate_clouds([(d, s) for d, s, _ in tested], cfg.grid, cfg.shuffle, cfg.workers)
+        reports = [shuffle_report(day.day_id, spectrum, cloud, cfg.shuffle)
                    for (day, _, spectrum), cloud in zip(tested, clouds)]
         _write_bootstrap_artifacts(cfg, reports)
     return EXIT_OK

@@ -221,8 +221,6 @@ def derive_box_scheme(T: int, override: list[int] | None = None) -> BoxScheme:
     deduplicated, and validated against the divisor invariant.
     """
     T = int(T)
-    if T < 2:
-        raise ValueError(f"series length must be >= 2, got {T}")
     if override is not None:
         sizes = tuple(sorted(set(int(s) for s in override)))
         return BoxScheme(sizes=sizes, series_length=T)

@@ -13,6 +13,7 @@ from mfbox.bootstrap import (
     permuted_values,
     replicate_clouds,
     scatter_fit,
+    shuffle_report,
 )
 from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.partition import MomentGrid
@@ -212,6 +213,54 @@ class TestReplicatePath:
         with pytest.raises(ValueError, match=r"tau\(0\)"):
             self._run_walk()
         assert len(calls) == 4
+
+
+class TestScoring:
+    def test_p_values_divide_by_the_cloud_size(self):
+        day = walk_day(15, T=60)
+        spectrum = analyze_series(day, grid=SMALL_GRID).spectrum
+        # 10 points: 3 at least as wide as the original, 6 with F at most the original's
+        offsets = np.arange(10.0) - 6.5
+        cloud = np.column_stack([spectrum.delta_alpha + 1e-3 * offsets,
+                                 spectrum.f_mid + 1e-3 * (offsets + 1.0)])
+        rep = shuffle_report(day.day_id, spectrum, cloud, BootstrapConfig(replicates=1000))
+        assert (rep.p1, rep.p2) == (0.3, 0.6)
+        assert not rep.significant_1 and not rep.significant_2
+
+    def test_empty_cloud_rejected(self):
+        day = walk_day(15, T=60)
+        spectrum = analyze_series(day, grid=SMALL_GRID).spectrum
+        with pytest.raises(ValueError, match="empty replicate cloud"):
+            shuffle_report(day.day_id, spectrum, np.empty((0, 2)), BootstrapConfig(replicates=10))
+
+
+class TestWorkerCap:
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # Checked with an in-process stand-in for the pool, so no process is started.
+        recorded = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mfbox.bootstrap, "ProcessPoolExecutor", FakePool)
+        pairs = [(walk_day(16, T=60), derive_box_scheme(60))]
+        cfg = BootstrapConfig(replicates=9, master_seed=4)
+        [capped] = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=10_000)
+        assert recorded == [2]
+        [serial] = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=1)
+        assert recorded == [2]
+        assert np.array_equal(capped, serial)
 
 
 class TestBatchSummary:

@@ -275,7 +275,7 @@ class TestExitCodes:
     def test_always_written_tables_are_not_export_items(self, walk_csv, tmp_path, capsys, item):
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
                    "--export", item) == 2
-        assert "('surface', 'scatter')" in capsys.readouterr().err
+        assert "choose from ('surface',)" in capsys.readouterr().err
 
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2
@@ -285,6 +285,50 @@ class TestExitCodes:
         empty.write_text("")
         assert run("analyze", "--input", str(empty), "--outdir", str(tmp_path / "o")) == 0
         assert "no usable days" in capsys.readouterr().err
+
+
+class TestPerCommandOptions:
+    SMALL = ("--q-min", "-4", "--q-max", "4")
+
+    def day_args(self, command, csv, out):
+        return (command, "--input", str(csv), "--outdir", str(out), *self.SMALL)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ("--export", "scatter")),
+        ("analyze", ("--export", "surface,scatter")),
+        ("shuffle-test", ("--export", "surface")),
+        ("analyze", ("--level", "0.5")),
+        ("analyze", ("--bootstrap", "10")),
+        ("analyze", ("--store-replicates",)),
+    ])
+    def test_options_the_command_does_not_use_are_rejected(self, walk_csv, tmp_path, command,
+                                                           flags):
+        out = tmp_path / "o"
+        assert run(*self.day_args(command, walk_csv, out), *flags) == 2
+        assert not out.exists()
+
+    def test_batch_exports_both_tables(self, walk_csv, tmp_path):
+        out = tmp_path / "o"
+        assert run(*self.day_args("batch", walk_csv, out), "--bootstrap", "5",
+                   "--export", "surface,scatter") == 0
+        for day in ("2000-01-03", "2000-01-04", "2000-01-05"):
+            assert (out / day / "surface.csv").is_file()
+            assert (out / day / "scatter.csv").is_file()
+
+    def test_analyze_accepts_seed_and_workers(self, walk_csv, tmp_path):
+        # The benchmark's analyze command line passes both.
+        out = tmp_path / "o"
+        assert run(*self.day_args("analyze", walk_csv, out), "--seed", "1", "--workers", "1",
+                   "--export", "surface") == 0
+        assert (out / "2000-01-03" / "surface.csv").is_file()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--bootstrap", "0"), "replicate count must be >= 1, got 0"),
+        (("--level", "1.5"), "significance level must be in (0, 1), got 1.5"),
+    ])
+    def test_range_errors_come_from_the_library(self, walk_csv, tmp_path, capsys, flags, message):
+        assert run(*self.day_args("shuffle-test", walk_csv, tmp_path / "o"), *flags) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 class TestSynthValidation:

@@ -114,11 +114,11 @@ def _replicate_block(
 ) -> list[tuple[float, float]]:
     """(delta_alpha, F) for one day's block of replicate indices; one scheduler task.
 
-    Each replicate runs the array functions behind :func:`analyze_series`,
-    every guard included, so its point equals the full chain's on the
-    permuted day. Only the columns 1 < l < T are evaluated per permutation:
-    the l = 1 column (summed in sorted order) and the l = T column (ln u = 0)
-    are the same for every permutation and are computed once from the day.
+    Replicates go k at a time, as a leading axis of permuted days, through the array
+    functions behind :func:`analyze_series`, so every guard checks every replicate and each
+    point equals the full chain's on the permuted day. The l = 1 and l = T columns do not
+    change under permutation and are computed once. k = max(1, min(n_q, T // n_l)) and column
+    l runs l replicates at a time, so no array exceeds the n_q * T cells of that l = 1 column.
     """
     if scheme.series_length != series.length:
         raise ValueError(f"scheme is for length {scheme.series_length}, series has {series.length}")
@@ -126,19 +126,23 @@ def _replicate_block(
     i0, i1 = grid.index_of(0.0), grid.index_of(1.0)
     ln_counts = np.log(np.asarray(scheme.box_counts, dtype=np.float64))
     ln_sizes = np.log(np.asarray(sizes, dtype=np.float64))
-    log_chi = np.empty((q.size, len(sizes)))
+    fixed = np.empty((q.size, len(sizes)))
     for j, l in enumerate(sizes):
         if l in (1, T):
-            log_chi[:, j] = _log_moment_sums(box_log_weights(series.values, l)[1], q)
-    varying = [j for j, l in enumerate(sizes) if 1 < l < T]
+            fixed[:, j] = _log_moment_sums(box_log_weights(series.values, l)[1], q)
+    varying = [(j, l) for j, l in enumerate(sizes) if 1 < l < T]
+    k = max(1, min(q.size, T // len(sizes)))
     out = []
-    for idx in indices:
-        values = permuted_values(series.values, idx, master_seed)
-        for j in varying:
-            log_chi[:, j] = _log_moment_sums(box_log_weights(values, sizes[j])[1], q)
+    for lo in range(0, len(indices), k):
+        values = np.stack([permuted_values(series.values, i, master_seed) for i in indices[lo:lo + k]])
+        log_chi = np.repeat(fixed[None], len(values), axis=0)
+        for j, l in varying:
+            for c in range(0, len(values), l):
+                log_chi[c:c + l, :, j] = _log_moment_sums(box_log_weights(values[c:c + l], l)[1], q)
         check_log_chi(log_chi, i0, i1, ln_counts)
         tau = fit_tau(log_chi, ln_sizes, i0, i1)
-        out.append(legendre_transform(tau, q)[2:])
+        _, _, delta_alpha, f_mid = legendre_transform(tau, q)
+        out.extend(zip(delta_alpha.tolist(), f_mid.tolist()))
     return out
 
 

@@ -49,17 +49,18 @@ class BoxMeasure:
 def box_log_weights(values: np.ndarray, box_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Box masses of ``values`` tiled into boxes of ``box_size`` and their log-weights.
 
-    Each box is summed with numpy (relative error at most l * eps); the
-    normaliser is the compensated sum (math.fsum) of the box masses, so the
-    weights sum to 1 to 1e-12, the l = 1 weights do not depend on the value
-    order, and the single l = T log-weight is exactly 0.
+    ``values`` is (..., T) with any leading batch axes; both results are (..., T / l).
+    Boxes are summed with numpy (relative error at most l * eps) and normalised by the
+    compensated sum (math.fsum) of each row's masses: the weights sum to 1 to 1e-12, the
+    l = 1 weights do not depend on the value order, and the l = T log-weight is exactly 0.
     """
     l = int(box_size)
-    T = values.size
+    T = values.shape[-1]
     if l < 1 or T % l != 0:
         raise ValueError(f"box size {l} does not divide series length {T}")
-    raw = values.reshape(T // l, l).sum(axis=1)
-    return raw, np.log(raw) - math.log(math.fsum(raw))
+    raw = values.reshape(*values.shape[:-1], T // l, l).sum(axis=-1)
+    norms = [math.log(math.fsum(row.tolist())) for row in raw.reshape(-1, T // l)]
+    return raw, np.log(raw) - np.reshape(norms, raw.shape[:-1] + (1,))
 
 
 def build_box_measure(series: PriceSeries, box_size: int) -> BoxMeasure:

@@ -96,24 +96,28 @@ class PartitionSurface:
 def check_log_chi(log_chi: np.ndarray, i0: int, i1: int, ln_counts: np.ndarray) -> None:
     """Raise ValueError unless ln chi is finite, chi_1 = 1 and chi_0 = N(l) to 1e-12.
 
-    Rows ``i0`` and ``i1`` hold q = 0 and q = 1; ``ln_counts`` is ln N(l) per column.
+    ``log_chi`` is (..., n_q, n_l), every surface checked; rows ``i0`` and ``i1`` hold
+    q = 0 and q = 1, and ``ln_counts`` is ln N(l) per column.
     """
     if not np.all(np.isfinite(log_chi)):
         raise ValueError("partition surface contains non-finite entries")
-    if np.max(np.abs(log_chi[i1])) > _NORMALIZATION_TOL:
+    if np.max(np.abs(log_chi[..., i1, :])) > _NORMALIZATION_TOL:
         raise ValueError("ln chi at q=1 deviates from 0 beyond 1e-12")
-    if np.max(np.abs(log_chi[i0] - ln_counts)) > _NORMALIZATION_TOL:
+    if np.max(np.abs(log_chi[..., i0, :] - ln_counts)) > _NORMALIZATION_TOL:
         raise ValueError("ln chi at q=0 deviates from ln N(l) beyond 1e-12")
 
 
 def _log_moment_sums(log_weights: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """ln sum_n exp(q * ln u_n) for every q, summing in canonical order."""
-    z = np.multiply.outer(q, np.sort(log_weights))
+    """ln sum_n exp(q * ln u_n) for every q, summing in canonical order.
+
+    (..., N) log-weights give (..., n_q) sums, each row reduced as its own call would be.
+    """
+    z = np.sort(log_weights)[..., None, :] * q[:, None]
     # Each row q * ln u is monotone in the sorted ln u, so its maximum is an end.
-    shift = np.where(q >= 0.0, z[:, -1], z[:, 0])
-    z -= shift[:, None]
+    shift = np.where(q >= 0.0, z[..., -1], z[..., 0])
+    z -= shift[..., None]
     np.exp(z, out=z)
-    return shift + np.log(z.sum(axis=1))
+    return shift + np.log(z.sum(axis=-1))
 
 
 def log_partition_value(measure: BoxMeasure, q: float) -> float:

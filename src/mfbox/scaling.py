@@ -69,15 +69,15 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def fit_tau(log_chi: np.ndarray, ln_sizes: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """tau(q): OLS slopes of each ln chi row against ln l, anchor-checked.
 
-    Exact tiling forces tau(0) = -1 and tau(1) = 0 for any fitted surface
-    (rows ``i0`` and ``i1``); a violation beyond 1e-10 means the surface was
-    built wrong and raises ValueError.
+    ``log_chi`` is (..., n_q, n_l) and tau (..., n_q). Exact tiling forces tau(0) = -1
+    and tau(1) = 0 for every fitted surface (rows ``i0`` and ``i1``); a violation
+    beyond 1e-10 means the surface was built wrong and raises ValueError.
     """
     xc = ln_sizes - ln_sizes.mean()
-    tau = (log_chi - log_chi.mean(axis=1, keepdims=True)) @ xc / (xc @ xc)
-    if abs(tau[i1]) > _TAU_ANCHOR_TOL:
+    tau = (log_chi - log_chi.mean(axis=-1, keepdims=True)) @ xc / (xc @ xc)
+    if np.max(np.abs(tau[..., i1])) > _TAU_ANCHOR_TOL:
         raise ValueError("tau(1) deviates from 0 beyond 1e-10")
-    if abs(tau[i0] + 1.0) > _TAU_ANCHOR_TOL:
+    if np.max(np.abs(tau[..., i0] + 1.0)) > _TAU_ANCHOR_TOL:
         raise ValueError("tau(0) deviates from -1 beyond 1e-10")
     return tau
 

@@ -45,28 +45,29 @@ class SingularitySpectrum:
         object.__setattr__(self, "f", f)
 
 
-def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
     """alpha, f, delta_alpha and f_mid of mass exponents ``tau`` on grid ``q``.
 
-    alpha_min and alpha_max are taken over the whole grid rather than
-    assumed to sit at the extreme q. f at each extremum is read at the grid
-    point achieving it; when several points tie exactly, the one nearest
-    the extreme q wins (largest q for alpha_min, smallest for alpha_max),
-    matching where each extremum lives for a concave tau.
+    ``tau`` is (..., n_q): alpha and f share its shape, the two scalars its leading shape.
+    alpha_min and alpha_max are taken over the whole grid rather than assumed to sit at
+    the extreme q. f at each extremum is read at the grid point achieving it; when several
+    points tie exactly, the one nearest the extreme q wins (largest q for alpha_min,
+    smallest for alpha_max), matching where each extremum lives for a concave tau.
     """
     if q.size < 3:
         raise ValueError("need at least 3 moment orders for finite differences")
-    alpha = np.gradient(tau, q, edge_order=2)
+    alpha = np.gradient(tau, q, axis=-1, edge_order=2)
     f = q * alpha - tau
 
-    i_min = int(np.flatnonzero(alpha == alpha.min())[-1])
-    i_max = int(np.flatnonzero(alpha == alpha.max())[0])
-    return alpha, f, float(alpha[i_max] - alpha[i_min]), float(0.5 * (f[i_min] + f[i_max]))
+    i_min = q.size - 1 - np.argmin(alpha[..., ::-1], axis=-1)  # the last minimum
+    i_max = np.argmax(alpha, axis=-1)  # the first maximum
+    a_ends, f_ends = (np.take_along_axis(a, np.stack([i_min, i_max], -1), -1) for a in (alpha, f))
+    return alpha, f, a_ends[..., 1] - a_ends[..., 0], 0.5 * (f_ends[..., 0] + f_ends[..., 1])
 
 
 def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     """Transform fitted mass exponents into the singularity spectrum."""
     alpha, f, delta_alpha, f_mid = legendre_transform(exponents.tau, exponents.grid.q_values)
     return SingularitySpectrum(
-        grid=exponents.grid, alpha=alpha, f=f, delta_alpha=delta_alpha, f_mid=f_mid
+        grid=exponents.grid, alpha=alpha, f=f, delta_alpha=float(delta_alpha), f_mid=float(f_mid)
     )

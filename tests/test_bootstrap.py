@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from mfbox.bootstrap import (
     shuffle_report,
 )
 from mfbox.ingest import PriceSeries, derive_box_scheme
-from mfbox.partition import MomentGrid
+from mfbox.measure import box_log_weights
+from mfbox.partition import MomentGrid, partition_surface
 from mfbox.pipeline import analyze_series
 from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
@@ -152,6 +154,11 @@ class TestBootstrapAnalysis:
         assert abs(rep.f_mid - (rep.k * rep.delta_alpha + rep.b)) <= 3 * sd
 
 
+def block_size(day, grid):
+    """Replicates per block: as many as fit in the n_q * T cells of the day's l = 1 column."""
+    return max(1, min(grid.size, day.length // len(derive_box_scheme(day.length).sizes)))
+
+
 class TestReplicatePath:
     """Replicates skip the permutation-invariant work but not the full chain's result or guards."""
 
@@ -161,12 +168,19 @@ class TestReplicatePath:
         "divisors96": (random_positive_series(96, "iid-lognormal", seed=3, sigma=0.3), SMALL_GRID),
     }
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("blocks", ["1", "k", "k+1", "3k+2"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_cloud_rows_equal_full_chain(self, case):
+    def test_cloud_rows_equal_full_chain(self, case, blocks, n_jobs):
         day, grid = self.CASES[case]
+        k = block_size(day, grid)
+        B = {"1": 1, "k": k, "k+1": k + 1, "3k+2": 3 * k + 2}[blocks]
         scheme = derive_box_scheme(day.length)
-        [cloud] = replicate_clouds([(day, scheme)], grid, BootstrapConfig(replicates=12, master_seed=3))
-        for i in (0, 1, 7, 11):
+        [cloud] = replicate_clouds([(day, scheme)], grid, BootstrapConfig(replicates=B, master_seed=3),
+                                   n_jobs=n_jobs)
+        assert cloud.shape == (B, 2)
+        # every row, so the first and last replicate of every block whatever the task split
+        for i in range(B):
             shuffled = PriceSeries(day.day_id, permuted_values(day.values, i, 3))
             spec = analyze_series(shuffled, scheme, grid).spectrum
             assert tuple(cloud[i]) == (spec.delta_alpha, spec.f_mid)
@@ -179,40 +193,104 @@ class TestReplicatePath:
         assert rep.p1 == rep.p2 == 1.0
         assert rep.k is None and rep.b is None
 
-    def _run_walk(self):
-        day = walk_day(14)
-        cfg = BootstrapConfig(replicates=5, master_seed=1)
-        return replicate_clouds([(day, derive_box_scheme(240))], MomentGrid.from_range(), cfg, n_jobs=1)
+    # Five replicates of a T=240 day form one block (k = 17), so replicates 1 and 2
+    # sit strictly inside it; each fault below hits exactly one of them, by 3x the
+    # guard's tolerance: less than the tolerance once averaged over the block.
+    WALK, GRID, CFG = walk_day(14), MomentGrid.from_range(), BootstrapConfig(replicates=5, master_seed=1)
 
-    def test_chi1_guard_runs_per_replicate(self, monkeypatch):
-        real, calls = mfbox.bootstrap._log_moment_sums, []
-        i1 = MomentGrid.from_range().index_of(1.0)
+    def _run_walk(self):
+        assert self.CFG.replicates < block_size(self.WALK, self.GRID)
+        return replicate_clouds([(self.WALK, derive_box_scheme(240))], self.GRID, self.CFG, n_jobs=1)
+
+    def _replicate(self, i):
+        return PriceSeries(self.WALK.day_id, permuted_values(self.WALK.values, i, self.CFG.master_seed))
+
+    def _fault_chi1_of_third_replicate(self, monkeypatch, offset):
+        # Moves ln chi_1 of replicate 2, at l = 2 only, by offset.
+        real, hits = mfbox.bootstrap._log_moment_sums, []
+        i1 = self.GRID.index_of(1.0)
+        target = box_log_weights(self._replicate(2).values, 2)[1]
 
         def off_in_third_replicate(log_weights, q):
             out = real(log_weights, q)
-            calls.append(None)
-            if len(calls) == 2 + 2 * 12 + 5:  # l = 1, T once, then 12 sizes per replicate
-                out[i1] += 1e-11
+            if log_weights.shape[-1] == target.size:
+                for r in np.flatnonzero((log_weights == target).all(axis=-1)):
+                    hits.append(r)
+                    out[r, i1] += offset
             return out
 
         monkeypatch.setattr(mfbox.bootstrap, "_log_moment_sums", off_in_third_replicate)
+        return hits
+
+    def _fault_tau0_of_second_replicate(self, monkeypatch, offset):
+        # Tilts the q = 0 row of replicate 1, as fit_tau receives it, by offset per
+        # unit of ln l, so its tau(0) moves by offset after the chi guard has passed.
+        real, hits = mfbox.bootstrap.fit_tau, []
+        i0 = self.GRID.index_of(0.0)
+        target = partition_surface(self._replicate(1), derive_box_scheme(240), self.GRID).log_chi
+
+        def off_in_second_replicate(log_chi, ln_sizes, i0_, i1_):
+            log_chi = log_chi.copy()
+            for r in np.flatnonzero((log_chi == target).all(axis=(-2, -1))):
+                hits.append(r)
+                log_chi[r, i0] += offset * (ln_sizes - ln_sizes.mean())
+            return real(log_chi, ln_sizes, i0_, i1_)
+
+        monkeypatch.setattr(mfbox.bootstrap, "fit_tau", off_in_second_replicate)
+        return hits
+
+    def test_chi1_guard_runs_per_replicate(self, monkeypatch):
+        hits = self._fault_chi1_of_third_replicate(monkeypatch, 3e-12)
         with pytest.raises(ValueError, match="q=1"):
             self._run_walk()
-        assert len(calls) == 2 + 2 * 12 + 12
+        assert len(hits) == 1
+
+    def test_chi1_guard_passes_without_the_fault(self, monkeypatch):
+        expected = self._run_walk()
+        hits = self._fault_chi1_of_third_replicate(monkeypatch, 0.0)
+        assert np.array_equal(self._run_walk()[0], expected[0])
+        assert len(hits) == 1
 
     def test_tau0_anchor_runs_per_replicate(self, monkeypatch):
-        real, calls = mfbox.bootstrap.fit_tau, []
-
-        def off_in_fourth_replicate(log_chi, ln_sizes, i0, i1):
-            calls.append(None)
-            if len(calls) == 4:  # slope of ln N(l) = ln T - ln l becomes -1 / (1 + 1e-9)
-                ln_sizes = ln_sizes * (1.0 + 1e-9)
-            return real(log_chi, ln_sizes, i0, i1)
-
-        monkeypatch.setattr(mfbox.bootstrap, "fit_tau", off_in_fourth_replicate)
+        hits = self._fault_tau0_of_second_replicate(monkeypatch, 3e-10)
         with pytest.raises(ValueError, match=r"tau\(0\)"):
             self._run_walk()
-        assert len(calls) == 4
+        assert len(hits) == 1
+
+    def test_tau0_anchor_passes_without_the_fault(self, monkeypatch):
+        expected = self._run_walk()
+        hits = self._fault_tau0_of_second_replicate(monkeypatch, 0.0)
+        assert np.array_equal(self._run_walk()[0], expected[0])
+        assert len(hits) == 1
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc during a second call of fn (the first warms caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReplicateMemory:
+    """A block holds at most n_q * T cells per array, so memory does not grow with B."""
+
+    def _block_peak(self, case, B):
+        day, grid = TestReplicatePath.CASES[case]
+        scheme = derive_box_scheme(day.length)
+        return traced_peak(lambda: mfbox.bootstrap._replicate_block(day, scheme, grid, 1, np.arange(B)))
+
+    def test_peak_does_not_grow_with_the_replicate_count(self):
+        assert self._block_peak("walk240", 400) <= 1.10 * self._block_peak("walk240", 40)
+
+    @pytest.mark.parametrize("case", ["walk240", "cascade4096"])
+    def test_peak_is_within_three_day_analyses(self, case):
+        day, grid = TestReplicatePath.CASES[case]
+        scheme = derive_box_scheme(day.length)
+        assert self._block_peak(case, 400) <= 3 * traced_peak(lambda: analyze_series(day, scheme, grid))
 
 
 class TestScoring:

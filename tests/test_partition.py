@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
-from mfbox.measure import build_box_measure
+from mfbox.measure import box_log_weights, build_box_measure
 from mfbox.partition import (
     MomentGrid,
     PartitionSurface,
+    _log_moment_sums,
     log_partition_value,
     partition_surface,
 )
+from mfbox.scaling import fit_tau
+from mfbox.spectrum import legendre_transform
 from mfbox.synth import constant_series
 
 
@@ -189,3 +192,105 @@ class TestSurfaceProperties:
         # l = 1 is the first scheme size and l = T the last
         assert np.array_equal(a[:, 0], b[:, 0])
         assert np.array_equal(a[:, -1], b[:, -1])
+
+
+# Row lengths on both sides of numpy's 8-term pairwise-summation block, and two long ones.
+ROW_LENGTHS = list(range(1, 21)) + [120, 2048]
+
+
+@st.composite
+def batches(draw, min_length=1):
+    """A batch shape (k,) or (2, k) with k in 1..9, a row length and a seeded generator."""
+    k = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from([(k,), (2, k)]))
+    n = draw(st.sampled_from([n for n in ROW_LENGTHS if n >= min_length]))
+    return shape, n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def magnitudes(rng, shape):
+    return 10.0 ** rng.uniform(-50.0, 50.0, shape)
+
+
+class TestBatchedRows:
+    """Each array function of the replicate path gives, row by row, the bits of its 1-D call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), st.sampled_from([1, 2, 3, 5]))
+    def test_box_log_weights(self, batch, l):
+        shape, n, rng = batch
+        values = magnitudes(rng, shape + (n * l,))
+        raw, log_weights = box_log_weights(values, l)
+        assert raw.shape == log_weights.shape == shape + (n,)
+        for row in np.ndindex(shape):
+            raw_1, log_weights_1 = box_log_weights(values[row], l)
+            assert np.array_equal(raw[row], raw_1)
+            assert np.array_equal(log_weights[row], log_weights_1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_log_moment_sums(self, batch):
+        shape, n, rng = batch
+        q = np.arange(-120.0, 121.0, 8.0)
+        log_weights = box_log_weights(magnitudes(rng, shape + (n,)), 1)[1]
+        sums = _log_moment_sums(log_weights, q)
+        assert sums.shape == shape + (q.size,)
+        for row in np.ndindex(shape):
+            assert np.array_equal(sums[row], _log_moment_sums(log_weights[row], q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(min_length=2))
+    def test_fit_tau(self, batch):
+        shape, n_l, rng = batch
+        grid = MomentGrid.from_range(-8, 8, 1.0)
+        q, i0, i1 = grid.q_values, grid.index_of(0.0), grid.index_of(1.0)
+        ln_sizes = np.log(np.arange(1.0, n_l + 1.0))
+        # (1 - q) ln N(l) plus noise that vanishes on the q = 0 and q = 1 rows
+        noise = 0.01 * rng.standard_normal(shape + (q.size, n_l)) * (q * (q - 1.0))[:, None]
+        log_chi = (1.0 - q)[:, None] * (np.log(2048.0) - ln_sizes) + noise
+        tau = fit_tau(log_chi, ln_sizes, i0, i1)
+        assert tau.shape == shape + (q.size,)
+        for row in np.ndindex(shape):
+            assert np.array_equal(tau[row], fit_tau(log_chi[row], ln_sizes, i0, i1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(min_length=3), st.booleans())
+    def test_legendre_transform_and_its_tie_rule(self, batch, uniform):
+        shape, n_q, rng = batch
+        q = np.arange(n_q) - n_q // 2.0 if uniform else np.cumsum(rng.uniform(0.1, 2.0, n_q))
+        # Per row: random floats, small integers (exact ties of alpha on a uniform
+        # grid) or an integer line (alpha constant).
+        kinds = rng.integers(0, 3, shape)[..., None]
+        tau = np.where(kinds == 0, rng.standard_normal(shape + (n_q,)),
+                       np.where(kinds == 1, rng.integers(0, 3, shape + (n_q,)),
+                                rng.integers(-3, 4, shape + (1,)) * q + 1.0))
+        alpha, f, delta_alpha, f_mid = legendre_transform(tau, q)
+        assert alpha.shape == f.shape == shape + (n_q,)
+        assert delta_alpha.shape == f_mid.shape == shape
+        for row in np.ndindex(shape):
+            alpha_1, f_1, delta_alpha_1, f_mid_1 = legendre_transform(tau[row], q)
+            assert np.array_equal(alpha[row], alpha_1) and np.array_equal(f[row], f_1)
+            assert delta_alpha[row] == delta_alpha_1 and f_mid[row] == f_mid_1
+            i_min = np.flatnonzero(alpha_1 == alpha_1.min())[-1]
+            i_max = np.flatnonzero(alpha_1 == alpha_1.max())[0]
+            assert delta_alpha_1 == alpha_1[i_max] - alpha_1[i_min]
+            assert f_mid_1 == 0.5 * (f_1[i_min] + f_1[i_max])
+
+    def test_legendre_ties_pick_last_minimum_and_first_maximum_per_row(self):
+        q = np.arange(-3.0, 4.0)
+        # (tau row, last index of min alpha, first index of max alpha); on this
+        # integer grid alpha is exact, and f differs between the tied points.
+        rows = [
+            ([1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0], 6, 0),  # alpha = 2 everywhere
+            ([2.0, 2.0, 3.0, 3.0, 1.0, 1.0, 1.0], 4, 1),    # min at 3, 4; max at 1, 2
+            ([2.0, 2.0, 1.0, 0.0, 0.0, 2.0, 2.0], 6, 4),    # min at 2, 6; max at 4, 5
+            ([1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], 6, 4),    # min at 2, 3, 6; max at 4, 5
+        ]
+        tau = np.array([row for row, _, _ in rows])
+        alpha, f, delta_alpha, f_mid = legendre_transform(np.stack([tau, tau[::-1]]), q)
+        for block, order in ((0, rows), (1, rows[::-1])):
+            for r, (_, i_min, i_max) in enumerate(order):
+                a, f_row = alpha[block, r], f[block, r]
+                assert np.flatnonzero(a == a.min())[-1] == i_min
+                assert np.flatnonzero(a == a.max())[0] == i_max
+                assert delta_alpha[block, r] == a[i_max] - a[i_min]
+                assert f_mid[block, r] == 0.5 * (f_row[i_min] + f_row[i_max])

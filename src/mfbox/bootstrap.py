@@ -26,10 +26,10 @@ import numpy as np
 
 from .ingest import BoxScheme, PriceSeries
 from .measure import box_log_weights
-from .partition import MomentGrid, _log_moment_sums, check_log_chi
-from .pipeline import analyze_series
+from .partition import MomentGrid, PartitionSurface, _log_moment_sums, check_log_chi
+from .pipeline import DayAnalysis, analyze_series
 from .scaling import _ols_slope, fit_tau
-from .spectrum import SingularitySpectrum, legendre_transform
+from .spectrum import legendre_transform
 
 logger = logging.getLogger(__name__)
 
@@ -96,64 +96,49 @@ def permuted_values(values: np.ndarray, replicate_index: int, master_seed: int) 
     return rng.permutation(values)
 
 
-def scatter_fit(replicates: np.ndarray) -> tuple[float, float]:
-    """Least-squares line F_rnd = k * delta_alpha_rnd + b through the cloud.
-
-    Raises ValueError for fewer than 2 points or a cloud whose widths are
-    all identical (vertical spread only; unfittable).
-    """
-    pts = np.asarray(replicates, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least 2 (delta_alpha, F) replicate points")
-    k, b, _ = _ols_slope(pts[:, 0], pts[:, 1])
-    return k, b
-
-
 def _replicate_block(
-    series: PriceSeries, scheme: BoxScheme, grid: MomentGrid, master_seed: int, indices: np.ndarray
-) -> list[tuple[float, float]]:
-    """(delta_alpha, F) for one day's block of replicate indices; one scheduler task.
+    series: PriceSeries, surface: PartitionSurface, master_seed: int, indices: np.ndarray
+) -> np.ndarray:
+    """(len(indices), 2) rows of (delta_alpha, F) for one day's block; one scheduler task.
 
     Replicates go k at a time, as a leading axis of permuted days, through the array
     functions behind :func:`analyze_series`, so every guard checks every replicate and each
-    point equals the full chain's on the permuted day. The l = 1 and l = T columns do not
-    change under permutation and are computed once. k = max(1, min(n_q, T // n_l)) and column
-    l runs l replicates at a time, so no array exceeds the n_q * T cells of that l = 1 column.
+    point equals the full chain's on the permuted day. Every replicate starts from the day's
+    own ``surface``: its l = 1 and l = T columns do not change under permutation, so only
+    the columns 1 < l < T are recomputed. k = max(1, min(n_q, T // n_l)) and column l runs
+    l replicates at a time, so no array exceeds the n_q * T cells of that l = 1 column.
     """
-    if scheme.series_length != series.length:
-        raise ValueError(f"scheme is for length {scheme.series_length}, series has {series.length}")
-    q, sizes, T = grid.q_values, scheme.sizes, series.length
-    i0, i1 = grid.index_of(0.0), grid.index_of(1.0)
+    grid, scheme, T = surface.grid, surface.scheme, series.length
+    if scheme.series_length != T:
+        raise ValueError(f"scheme is for length {scheme.series_length}, series has {T}")
+    q, i0, i1 = grid.q_values, grid.index_of(0.0), grid.index_of(1.0)
     ln_counts = np.log(np.asarray(scheme.box_counts, dtype=np.float64))
-    ln_sizes = np.log(np.asarray(sizes, dtype=np.float64))
-    fixed = np.empty((q.size, len(sizes)))
-    for j, l in enumerate(sizes):
-        if l in (1, T):
-            fixed[:, j] = _log_moment_sums(box_log_weights(series.values, l)[1], q)
-    varying = [(j, l) for j, l in enumerate(sizes) if 1 < l < T]
-    k = max(1, min(q.size, T // len(sizes)))
-    out = []
+    ln_sizes = np.log(np.asarray(scheme.sizes, dtype=np.float64))
+    varying = [(j, l) for j, l in enumerate(scheme.sizes) if 1 < l < T]
+    k = max(1, min(q.size, T // len(scheme.sizes)))
+    permuted, out = np.empty((k, T)), np.empty((len(indices), 2))
     for lo in range(0, len(indices), k):
-        values = np.stack([permuted_values(series.values, i, master_seed) for i in indices[lo:lo + k]])
-        log_chi = np.repeat(fixed[None], len(values), axis=0)
+        block = indices[lo:lo + k]
+        for r, i in enumerate(block):
+            permuted[r] = permuted_values(series.values, i, master_seed)
+        values = permuted[:len(block)]
+        log_chi = np.repeat(surface.log_chi[None], len(block), axis=0)
         for j, l in varying:
-            for c in range(0, len(values), l):
+            for c in range(0, len(block), l):
                 log_chi[c:c + l, :, j] = _log_moment_sums(box_log_weights(values[c:c + l], l)[1], q)
         check_log_chi(log_chi, i0, i1, ln_counts)
         tau = fit_tau(log_chi, ln_sizes, i0, i1)
         _, _, delta_alpha, f_mid = legendre_transform(tau, q)
-        out.extend(zip(delta_alpha.tolist(), f_mid.tolist()))
+        out[lo:lo + k, 0], out[lo:lo + k, 1] = delta_alpha, f_mid
     return out
 
 
 def replicate_clouds(
-    days: list[tuple[PriceSeries, BoxScheme]],
-    grid: MomentGrid,
-    cfg: BootstrapConfig,
-    n_jobs: int = 1,
+    days: list[DayAnalysis], cfg: BootstrapConfig, n_jobs: int = 1
 ) -> list[np.ndarray]:
-    """The (B, 2) replicate cloud of every (series, scheme) day, in day order.
+    """The (B, 2) replicate cloud of every analysed day, in day order.
 
+    Each day's replicates run on the grid and box scheme of its own surface.
     n_jobs is capped at the CPU count; above 1, each day's replicates are split
     into min(4 * n_jobs, B) blocks and every (day, block) task runs on one
     process pool, otherwise all tasks run in this process. Replicates are keyed
@@ -161,26 +146,23 @@ def replicate_clouds(
     """
     B, n_jobs = cfg.replicates, min(n_jobs, os.cpu_count() or 1)
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
-    tasks = [(series, scheme, grid, cfg.master_seed, block)
-             for series, scheme in days for block in blocks]
+    tasks = [(day.series, day.surface, cfg.master_seed, block) for day in days for block in blocks]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replicate_block, *zip(*tasks)))
     else:
         results = [_replicate_block(*task) for task in tasks]
-    points = np.asarray([pt for block in results for pt in block], dtype=np.float64)
-    return list(points.reshape(len(days), B, 2))
+    n = len(blocks)
+    return [np.concatenate(results[lo:lo + n]) for lo in range(0, len(results), n)]
 
 
-def shuffle_report(
-    day_id: str, spectrum: SingularitySpectrum, replicates: np.ndarray, cfg: BootstrapConfig
-) -> BootstrapReport:
-    """Score the original day's spectrum against its (B, 2) replicate cloud, B >= 1."""
-    B = len(replicates)
+def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfig) -> BootstrapReport:
+    """Score an analysed day's spectrum against its (B, 2) replicate cloud, B >= 1."""
+    day_id, spectrum, B = day.series.day_id, day.spectrum, len(replicates)
     if B == 0:
         raise ValueError(f"day {day_id}: empty replicate cloud")
     try:
-        k, b = scatter_fit(replicates)
+        k, b, _ = _ols_slope(replicates[:, 0], replicates[:, 1])
     except ValueError:
         k, b = None, None
 
@@ -216,9 +198,9 @@ def bootstrap_analysis(
     With n_jobs > 1 the replicates run in a process pool (see
     :func:`replicate_clouds`); the report is bit-identical to the serial one.
     """
-    original = analyze_series(series, scheme, grid).spectrum
-    [cloud] = replicate_clouds([(series, scheme)], grid, cfg, n_jobs)
-    return shuffle_report(series.day_id, original, cloud, cfg)
+    day = analyze_series(series, scheme, grid)
+    [cloud] = replicate_clouds([day], cfg, n_jobs)
+    return shuffle_report(day, cloud, cfg)
 
 
 @dataclass(frozen=True)

@@ -244,19 +244,16 @@ def run_days(cfg: RunConfig) -> int:
     analysed, so analyze streams; the shuffle test then sends every day's
     replicates to one scheduler and scores each day against its cloud.
     """
-    days = _load_days(cfg)
-    tested = []  # (series, scheme, spectrum) per day to shuffle-test
-    for day in days:
-        scheme = _scheme_for(cfg, day.length)
-        analysis = analyze_series(day, scheme, cfg.grid)
+    tested = []  # the analysis of each day to shuffle-test
+    for day in _load_days(cfg):
+        analysis = analyze_series(day, _scheme_for(cfg, day.length), cfg.grid)
         if cfg.command != "shuffle-test":
             _write_analysis_artifacts(cfg, analysis)
         if cfg.command != "analyze":
-            tested.append((day, scheme, analysis.spectrum))
+            tested.append(analysis)
     if tested:
-        clouds = replicate_clouds([(d, s) for d, s, _ in tested], cfg.grid, cfg.shuffle, cfg.workers)
-        reports = [shuffle_report(day.day_id, spectrum, cloud, cfg.shuffle)
-                   for (day, _, spectrum), cloud in zip(tested, clouds)]
+        clouds = replicate_clouds(tested, cfg.shuffle, cfg.workers)
+        reports = [shuffle_report(day, cloud, cfg.shuffle) for day, cloud in zip(tested, clouds)]
         _write_bootstrap_artifacts(cfg, reports)
     return EXIT_OK
 

@@ -141,7 +141,8 @@ def parse_intraday_csv(
         missing = [c for c in (date_col, time_col, price_col) if c not in reader.fieldnames]
         if missing:
             raise IngestError(f"{path}: missing column(s) {missing}; header is {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # file line, so blank lines are counted too
             date = row.get(date_col)
             time = row.get(time_col)
             raw_price = row.get(price_col)

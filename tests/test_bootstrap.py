@@ -13,13 +13,13 @@ from mfbox.bootstrap import (
     derive_replicate_seed,
     permuted_values,
     replicate_clouds,
-    scatter_fit,
     shuffle_report,
 )
 from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.measure import box_log_weights
 from mfbox.partition import MomentGrid, partition_surface
 from mfbox.pipeline import analyze_series
+from mfbox.scaling import _ols_slope
 from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 SMALL_GRID = MomentGrid.from_range(-8, 8, 1.0)
@@ -66,8 +66,10 @@ class TestShuffle:
 
 
 class TestScatterFit:
+    """The cloud line F = k * delta_alpha + b, fitted by shuffle_report with _ols_slope."""
+
     def test_two_point_line(self):
-        k, b = scatter_fit(np.array([[0.0, 1.0], [0.01, 0.7]]))
+        k, b, _ = _ols_slope(np.array([0.0, 0.01]), np.array([1.0, 0.7]))
         assert math.isclose(k, -30.0, rel_tol=1e-12)
         assert math.isclose(b, 1.0, rel_tol=1e-12)
 
@@ -75,15 +77,15 @@ class TestScatterFit:
         # symmetric quadratic tau with q_max = 120 gives F = 1 - 30 delta_alpha
         eps = np.linspace(1e-6, 5e-5, 40)
         pts = np.column_stack([240 * eps, 1 - eps * 120 ** 2 / 2])
-        k, b = scatter_fit(pts)
+        k, b, _ = _ols_slope(pts[:, 0], pts[:, 1])
         assert math.isclose(k, -30.0, rel_tol=1e-9)
         assert math.isclose(b, 1.0, rel_tol=1e-9)
 
     def test_degenerate_and_short_inputs(self):
         with pytest.raises(ValueError, match="identical"):
-            scatter_fit(np.array([[0.1, 1.0], [0.1, 0.9]]))
+            _ols_slope(np.array([0.1, 0.1]), np.array([1.0, 0.9]))
         with pytest.raises(ValueError):
-            scatter_fit(np.array([[0.1, 1.0]]))
+            _ols_slope(np.array([0.1]), np.array([1.0]))
 
 
 class TestBootstrapAnalysis:
@@ -121,11 +123,12 @@ class TestBootstrapAnalysis:
     @pytest.mark.parametrize("n_jobs", [1, 2, 0])
     def test_scheduler_merges_in_day_and_index_order(self, n_jobs):
         days = [walk_day(10, T=60), walk_day(11, T=120), constant_series(60, 2.0, day_id="flat")]
-        pairs = [(d, derive_box_scheme(d.length)) for d in days]
+        analyses = [analyze_series(d, grid=SMALL_GRID) for d in days]
         cfg = BootstrapConfig(replicates=9, master_seed=5)
-        clouds = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=n_jobs)
+        clouds = replicate_clouds(analyses, cfg, n_jobs=n_jobs)
         assert len(clouds) == 3
-        for (day, scheme), cloud in zip(pairs, clouds):
+        for day, cloud in zip(days, clouds):
+            scheme = derive_box_scheme(day.length)
             report = bootstrap_analysis(day, scheme, SMALL_GRID, cfg, n_jobs=n_jobs)
             assert np.array_equal(cloud, report.replicates)
             # row i is replicate i of this day, however the blocks were scheduled
@@ -166,6 +169,7 @@ class TestReplicatePath:
         "walk240": (walk_day(12), MomentGrid.from_range()),
         "cascade4096": (binomial_cascade(CascadeSpec(p=0.6, levels=12)), MomentGrid.from_range(-5, 5, 1.0)),
         "divisors96": (random_positive_series(96, "iid-lognormal", seed=3, sigma=0.3), SMALL_GRID),
+        "prime241": (walk_day(13, T=241), SMALL_GRID),
     }
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -176,14 +180,35 @@ class TestReplicatePath:
         k = block_size(day, grid)
         B = {"1": 1, "k": k, "k+1": k + 1, "3k+2": 3 * k + 2}[blocks]
         scheme = derive_box_scheme(day.length)
-        [cloud] = replicate_clouds([(day, scheme)], grid, BootstrapConfig(replicates=B, master_seed=3),
-                                   n_jobs=n_jobs)
+        [cloud] = replicate_clouds([analyze_series(day, scheme, grid)],
+                                   BootstrapConfig(replicates=B, master_seed=3), n_jobs=n_jobs)
         assert cloud.shape == (B, 2)
         # every row, so the first and last replicate of every block whatever the task split
         for i in range(B):
             shuffled = PriceSeries(day.day_id, permuted_values(day.values, i, 3))
             spec = analyze_series(shuffled, scheme, grid).spectrum
             assert tuple(cloud[i]) == (spec.delta_alpha, spec.f_mid)
+
+    @staticmethod
+    def _record_box_sizes(monkeypatch):
+        # Box size of every box_log_weights call the replicate path makes.
+        real, sizes = mfbox.bootstrap.box_log_weights, []
+
+        def recording(values, box_size):
+            sizes.append(box_size)
+            return real(values, box_size)
+
+        monkeypatch.setattr(mfbox.bootstrap, "box_log_weights", recording)
+        return sizes
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_invariant_columns_come_from_the_day_surface(self, case, monkeypatch):
+        day, grid = self.CASES[case]
+        analysis = analyze_series(day, grid=grid)
+        sizes = self._record_box_sizes(monkeypatch)
+        replicate_clouds([analysis], BootstrapConfig(replicates=5, master_seed=3), n_jobs=1)
+        # only 1 < l < T is summed per replicate: none at all for the prime length's (1, T)
+        assert set(sizes) == {l for l in analysis.surface.scheme.sizes if 1 < l < day.length}
 
     def test_prime_length_cloud_is_the_original_point(self):
         day = walk_day(13, T=241)
@@ -200,7 +225,7 @@ class TestReplicatePath:
 
     def _run_walk(self):
         assert self.CFG.replicates < block_size(self.WALK, self.GRID)
-        return replicate_clouds([(self.WALK, derive_box_scheme(240))], self.GRID, self.CFG, n_jobs=1)
+        return replicate_clouds([analyze_series(self.WALK, grid=self.GRID)], self.CFG, n_jobs=1)
 
     def _replicate(self, i):
         return PriceSeries(self.WALK.day_id, permuted_values(self.WALK.values, i, self.CFG.master_seed))
@@ -280,8 +305,8 @@ class TestReplicateMemory:
 
     def _block_peak(self, case, B):
         day, grid = TestReplicatePath.CASES[case]
-        scheme = derive_box_scheme(day.length)
-        return traced_peak(lambda: mfbox.bootstrap._replicate_block(day, scheme, grid, 1, np.arange(B)))
+        surface = analyze_series(day, grid=grid).surface
+        return traced_peak(lambda: mfbox.bootstrap._replicate_block(day, surface, 1, np.arange(B)))
 
     def test_peak_does_not_grow_with_the_replicate_count(self):
         assert self._block_peak("walk240", 400) <= 1.10 * self._block_peak("walk240", 40)
@@ -295,21 +320,20 @@ class TestReplicateMemory:
 
 class TestScoring:
     def test_p_values_divide_by_the_cloud_size(self):
-        day = walk_day(15, T=60)
-        spectrum = analyze_series(day, grid=SMALL_GRID).spectrum
+        analysis = analyze_series(walk_day(15, T=60), grid=SMALL_GRID)
+        spectrum = analysis.spectrum
         # 10 points: 3 at least as wide as the original, 6 with F at most the original's
         offsets = np.arange(10.0) - 6.5
         cloud = np.column_stack([spectrum.delta_alpha + 1e-3 * offsets,
                                  spectrum.f_mid + 1e-3 * (offsets + 1.0)])
-        rep = shuffle_report(day.day_id, spectrum, cloud, BootstrapConfig(replicates=1000))
+        rep = shuffle_report(analysis, cloud, BootstrapConfig(replicates=1000))
         assert (rep.p1, rep.p2) == (0.3, 0.6)
         assert not rep.significant_1 and not rep.significant_2
 
     def test_empty_cloud_rejected(self):
-        day = walk_day(15, T=60)
-        spectrum = analyze_series(day, grid=SMALL_GRID).spectrum
+        analysis = analyze_series(walk_day(15, T=60), grid=SMALL_GRID)
         with pytest.raises(ValueError, match="empty replicate cloud"):
-            shuffle_report(day.day_id, spectrum, np.empty((0, 2)), BootstrapConfig(replicates=10))
+            shuffle_report(analysis, np.empty((0, 2)), BootstrapConfig(replicates=10))
 
 
 class TestWorkerCap:
@@ -332,11 +356,11 @@ class TestWorkerCap:
 
         monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(mfbox.bootstrap, "ProcessPoolExecutor", FakePool)
-        pairs = [(walk_day(16, T=60), derive_box_scheme(60))]
+        days = [analyze_series(walk_day(16, T=60), grid=SMALL_GRID)]
         cfg = BootstrapConfig(replicates=9, master_seed=4)
-        [capped] = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=10_000)
+        [capped] = replicate_clouds(days, cfg, n_jobs=10_000)
         assert recorded == [2]
-        [serial] = replicate_clouds(pairs, SMALL_GRID, cfg, n_jobs=1)
+        [serial] = replicate_clouds(days, cfg, n_jobs=1)
         assert recorded == [2]
         assert np.array_equal(capped, serial)
 

@@ -37,6 +37,14 @@ class TestParseCsv:
         ])
         with pytest.raises(MalformedRowError, match="row 3"):
             parse_intraday_csv(path)
+        # rows are named by file line, so a blank line 3 moves the bad price to row 4
+        path = write_csv(tmp_path / "gap.csv", [
+            "2001-11-26,09:31,655.1",
+            "",
+            "2001-11-26,09:32,abc",
+        ])
+        with pytest.raises(MalformedRowError, match="row 4"):
+            parse_intraday_csv(path)
 
     def test_empty_file_gives_empty_sequence(self, tmp_path):
         path = tmp_path / "empty.csv"

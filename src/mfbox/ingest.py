@@ -12,7 +12,6 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,17 +26,23 @@ PRESET_BOX_SIZES: dict[int, tuple[int, ...]] = {
 
 
 class IngestError(Exception):
-    """Raised when an input file cannot be turned into records."""
+    """Raised when an input file cannot be read into minute bars."""
 
 
 class MalformedRowError(IngestError):
     """A specific CSV row could not be parsed; the message names the row."""
 
 
-class MinuteRecord(NamedTuple):
-    date: str
-    time: str
-    price: float
+@dataclass(frozen=True, eq=False)
+class MinuteBars:
+    """Minute-bar columns in file order: one date, time and price per data row."""
+
+    date: list[str]
+    time: list[str]
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.date)
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,13 @@ def parse_intraday_csv(
     date_col: str = "date",
     time_col: str = "time",
     price_col: str = "price",
-) -> list[MinuteRecord]:
-    """Read a header-ed CSV of minute bars into records, in file order.
+) -> MinuteBars:
+    """Read a header-ed CSV of minute bars into columns, in file order.
 
     No filtering happens here: non-finite prices are carried through and
     handled by :func:`segment_by_day`. Raises :class:`IngestError` for an
-    unreadable file or missing columns, :class:`MalformedRowError` (naming
-    the offending row) for rows that do not parse.
+    unreadable file or a missing or repeated column, :class:`MalformedRowError`
+    (naming the file line, blank lines counted) for rows that do not parse.
     """
     path = Path(path)
     try:
@@ -133,33 +138,38 @@ def parse_intraday_csv(
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    records: list[MinuteRecord] = []
+    dates, times, prices = [], [], []
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return records  # empty file: zero days downstream
-        missing = [c for c in (date_col, time_col, price_col) if c not in reader.fieldnames]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {missing}; header is {reader.fieldnames}")
-        for row in reader:
-            lineno = reader.line_num  # file line, so blank lines are counted too
-            date = row.get(date_col)
-            time = row.get(time_col)
-            raw_price = row.get(price_col)
-            if date is None or time is None or raw_price is None:
-                raise MalformedRowError(f"{path}: row {lineno} is short a field")
-            try:
-                price = float(raw_price)
-            except ValueError as exc:
-                raise MalformedRowError(
-                    f"{path}: row {lineno}: price {raw_price!r} is not numeric"
-                ) from exc
-            records.append(MinuteRecord(date, time, price))
-    return records
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None:  # an empty file gives zero rows
+            wanted = (date_col, time_col, price_col)
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing column(s) {missing}; header is {header}")
+            repeated = [c for c in wanted if header.count(c) > 1]
+            if repeated:
+                raise IngestError(f"{path}: repeated column(s) {repeated}; header is {header}")
+            di, ti, pi = (header.index(c) for c in wanted)
+            width = max(di, ti, pi) + 1
+            for row in reader:
+                if not row:
+                    continue  # a blank line
+                if len(row) < width:
+                    raise MalformedRowError(f"{path}: row {reader.line_num} is short a field")
+                try:
+                    prices.append(float(row[pi]))
+                except ValueError as exc:
+                    raise MalformedRowError(
+                        f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
+                    ) from exc
+                dates.append(row[di])
+                times.append(row[ti])
+    return MinuteBars(dates, times, np.array(prices, dtype=np.float64))
 
 
-def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
-    """Split ordered records into per-day series, dropping suspect days.
+def segment_by_day(bars: MinuteBars) -> DaySegmentation:
+    """Split minute-bar columns into per-day series, dropping suspect days.
 
     A day is dropped (never raising) when its id is not one safe path
     component (it names the day's output directory), when it contains a
@@ -169,8 +179,8 @@ def segment_by_day(records: list[MinuteRecord]) -> DaySegmentation:
     first-seen order, values exactly as parsed.
     """
     by_day: dict[str, list[float]] = {}
-    for rec in records:
-        by_day.setdefault(rec.date, []).append(rec.price)
+    for date, price in zip(bars.date, bars.price.tolist()):
+        by_day.setdefault(date, []).append(price)
 
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}

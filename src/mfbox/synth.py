@@ -59,9 +59,6 @@ def random_positive_series(
     ``iid-lognormal``: independent initial * exp(sigma * z_t).
     ``intraday-walk``: initial * exp(cumsum(sigma * z_t)), an index-like
     path whose per-bar log steps are zero-mean.
-
-    Draws that land non-positive or non-finite (possible only for absurd
-    sigma) are redrawn elementwise.
     """
     T = int(length)
     if T < 2:
@@ -78,14 +75,6 @@ def random_positive_series(
         values = initial * np.exp(np.cumsum(sigma * rng.standard_normal(T)))
     else:
         raise ValueError(f"unknown kind {kind!r}; expected 'iid-lognormal' or 'intraday-walk'")
-
-    for _ in range(100):
-        bad = ~(np.isfinite(values) & (values > 0.0))
-        if not bad.any():
-            break
-        values[bad] = initial * np.exp(sigma * rng.standard_normal(int(bad.sum())))
-    else:
-        raise ValueError(f"parameters (sigma={sigma}, initial={initial}) cannot produce positive values")
 
     return PriceSeries(day_id=day_id or f"{kind}-{seed}", values=values)
 

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import mfbox
+from mfbox.ingest import parse_intraday_csv
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -24,15 +26,29 @@ def test_public_names():
         assert getattr(mfbox, name) is not None
 
 
-def test_traced_functions_resolve():
+def load_tracing():
     # Executed from its source text, so nothing is written next to the file.
     namespace = {"__name__": "tracing"}
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), namespace)
-    hooks = [(module, fn) for module, fn, _, _ in namespace["HOOKS"]]
+    return namespace
+
+
+def test_traced_functions_resolve():
+    hooks = [(module, fn) for module, fn, _, _ in load_tracing()["HOOKS"]]
     # Acceptance criterion 7c calls this one directly.
     hooks.append(("mfbox.partition", "log_partition_value"))
     for module, fn in hooks:
         assert callable(getattr(importlib.import_module(module), fn, None)), f"{module}.{fn}"
+
+
+def test_traced_row_count_is_data_rows(tmp_path):
+    # The tracer counts ingest.rows as len() of what parse_intraday_csv returns.
+    path = tmp_path / "d.csv"
+    path.write_text("date,time,price\nd1,09:31,1.0\n\nd1,09:32,2.0\nd1,09:33,3.0\n",
+                    encoding="utf-8")
+    counts = Counter()
+    load_tracing()["_count_parse"](counts, (path,), {}, parse_intraday_csv(path))
+    assert counts["ingest.rows"] == 3
 
 
 def imported_names(tree):

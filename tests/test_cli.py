@@ -340,6 +340,14 @@ class TestSynthValidation:
         assert run("synth", "--kind", "cascade", "--out", str(tmp_path / "x.csv"),
                    "--p", "1.0") == 2
 
+    def test_overflowing_walk_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        with np.errstate(over="ignore", under="ignore"):
+            code = run("synth", "--kind", "intraday-walk", "--out", str(path), "--sigma", "100")
+        assert code == 2
+        assert not path.exists()
+        assert "configuration error" in capsys.readouterr().err
+
     def test_multi_day_seeds_differ(self, tmp_path):
         path = tmp_path / "multi.csv"
         assert run("synth", "--kind", "iid-lognormal", "--out", str(path),

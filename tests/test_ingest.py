@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mfbox.ingest import (
     BoxScheme,
     IngestError,
     MalformedRowError,
+    MinuteBars,
     PriceSeries,
     derive_box_scheme,
     parse_intraday_csv,
@@ -25,10 +28,10 @@ class TestParseCsv:
             "2001-11-26,09:32,656.0",
             "2001-11-26,09:33,654.8",
         ])
-        recs = parse_intraday_csv(path)
-        assert [r.price for r in recs] == [655.1, 656.0, 654.8]
-        assert [r.time for r in recs] == ["09:31", "09:32", "09:33"]
-        assert all(r.date == "2001-11-26" for r in recs)
+        bars = parse_intraday_csv(path)
+        assert bars.price.tolist() == [655.1, 656.0, 654.8]
+        assert bars.time == ["09:31", "09:32", "09:33"]
+        assert all(d == "2001-11-26" for d in bars.date)
 
     def test_non_numeric_price_names_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [
@@ -49,8 +52,9 @@ class TestParseCsv:
     def test_empty_file_gives_empty_sequence(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        assert parse_intraday_csv(path) == []
-        assert segment_by_day([]).days == []
+        bars = parse_intraday_csv(path)
+        assert len(bars) == 0
+        assert segment_by_day(bars).days == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="nowhere.csv"):
@@ -58,8 +62,18 @@ class TestParseCsv:
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31"], header="date,time")
-        with pytest.raises(IngestError, match="price"):
+        with pytest.raises(IngestError, match="price") as info:
             parse_intraday_csv(path)
+        assert str(info.value) == f"{path}: missing column(s) ['price']; header is ['date', 'time']"
+
+    def test_repeated_column(self, tmp_path):
+        # neither copy of a selected column is picked silently
+        path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,1.0,2.0"],
+                         header="date,time,price,price")
+        with pytest.raises(IngestError) as info:
+            parse_intraday_csv(path)
+        assert str(info.value) == (
+            f"{path}: repeated column(s) ['price']; header is ['date', 'time', 'price', 'price']")
 
     def test_short_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,1.0", "2001-11-26,09:32"])
@@ -68,58 +82,84 @@ class TestParseCsv:
 
     def test_custom_column_names(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,7.5"], header="d,t,px")
-        recs = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")
-        assert recs[0].price == 7.5
+        bars = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")
+        assert bars.price[0] == 7.5
 
     def test_nonfinite_price_passes_through(self, tmp_path):
         # parsing applies no filtering; segmentation drops the day
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,nan", "2001-11-26,09:32,1.0"])
-        recs = parse_intraday_csv(path)
-        assert len(recs) == 2
-        seg = segment_by_day(recs)
+        bars = parse_intraday_csv(path)
+        assert len(bars) == 2
+        seg = segment_by_day(bars)
         assert seg.days == []
         assert "non-positive or non-finite" in seg.dropped[0].reason
 
 
-def make_records(day, prices, start=0):
-    from mfbox.ingest import MinuteRecord
+def dictreader_columns(path):
+    """Reference reader: the date, time and price of each row as csv.DictReader sees them."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [r["date"] for r in rows], [r["time"] for r in rows], [float(r["price"]) for r in rows]
 
-    return [MinuteRecord(day, f"{9 + (start + i) // 60:02d}:{(start + i) % 60:02d}", p)
-            for i, p in enumerate(prices)]
+
+@pytest.mark.parametrize("text, n_rows", [
+    ("\ufeffdate,time,price\r\nd1,09:31,1.5\r\n\r\nd1,09:32,2.5\r\n", 2),
+    ('price,"a,b",time,date,extra\n'
+     '1.5,"x,y",09:31,d1,e\n'
+     '2.5,z,"09:32",d1,e,more,fields\n'
+     '3.5,w,09:33,d2\n', 3),
+    ("date,time,price\nd1,09:31,1.5\nd1,09:32,2.5\n\n\n\n", 2),
+    ("date,time,price\nd1,09:31, 1.5 \n", 1),
+], ids=["bom-crlf-blank", "quoted-extra-reordered-short", "trailing-blanks", "padded-price"])
+def test_columns_match_dictreader(tmp_path, text, n_rows):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    bars = parse_intraday_csv(path)
+    date, time, price = dictreader_columns(path)
+    assert bars.date == date
+    assert bars.time == time
+    assert bars.price.dtype == np.float64
+    assert bars.price.tolist() == price
+    assert len(bars) == len(date) == n_rows
+
+
+def make_bars(*days):
+    """Columns for consecutive (day id, prices) runs, minutes counted from 09:00 per day."""
+    date, time, price = [], [], []
+    for day, prices in days:
+        date += [day] * len(prices)
+        time += [f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))]
+        price += list(prices)
+    return MinuteBars(date, time, np.asarray(price, dtype=np.float64))
 
 
 class TestSegmentByDay:
     def test_clean_split(self):
         rng = np.random.default_rng(0)
-        recs = make_records("2001-11-26", list(1 + rng.random(240)))
-        recs += make_records("2001-11-27", list(1 + rng.random(240)))
-        seg = segment_by_day(recs)
+        bars = make_bars(("2001-11-26", 1 + rng.random(240)),
+                         ("2001-11-27", 1 + rng.random(240)))
+        seg = segment_by_day(bars)
         assert [d.day_id for d in seg.days] == ["2001-11-26", "2001-11-27"]
         assert all(d.length == 240 for d in seg.days)
         assert seg.dropped == []
 
     def test_zero_price_drops_day(self):
-        recs = make_records("2001-11-26", [1.0] * 240)
         bad = [1.0] * 240
         bad[77] = 0.0
-        recs += make_records("2001-11-27", bad)
-        seg = segment_by_day(recs)
+        seg = segment_by_day(make_bars(("2001-11-26", [1.0] * 240), ("2001-11-27", bad)))
         assert [d.day_id for d in seg.days] == ["2001-11-26"]
         assert seg.dropped[0].day_id == "2001-11-27"
         assert "non-positive" in seg.dropped[0].reason
 
     def test_modal_length_filter(self):
-        recs = (make_records("d1", [1.0] * 240)
-                + make_records("d2", [2.0] * 240)
-                + make_records("d3", [3.0] * 180))
-        seg = segment_by_day(recs)
+        bars = make_bars(("d1", [1.0] * 240), ("d2", [2.0] * 240), ("d3", [3.0] * 180))
+        seg = segment_by_day(bars)
         assert [d.day_id for d in seg.days] == ["d1", "d2"]
         assert seg.dropped[0].day_id == "d3"
         assert "modal length 240" in seg.dropped[0].reason
 
     def test_modal_tie_prefers_longer(self):
-        recs = make_records("d1", [1.0] * 100) + make_records("d2", [1.0] * 200)
-        seg = segment_by_day(recs)
+        seg = segment_by_day(make_bars(("d1", [1.0] * 100), ("d2", [1.0] * 200)))
         assert [d.day_id for d in seg.days] == ["d2"]
         assert [d.day_id for d in seg.dropped] == ["d1"]
         assert "modal length 200" in seg.dropped[0].reason
@@ -127,8 +167,7 @@ class TestSegmentByDay:
     @pytest.mark.parametrize("day_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_unsafe_day_id_dropped(self, day_id):
         # the day id names the day's output directory, so it must be one path component
-        recs = make_records("2001-11-26", [1.0] * 60) + make_records(day_id, [2.0] * 60)
-        seg = segment_by_day(recs)
+        seg = segment_by_day(make_bars(("2001-11-26", [1.0] * 60), (day_id, [2.0] * 60)))
         assert [d.day_id for d in seg.days] == ["2001-11-26"]
         assert [(d.day_id, d.length) for d in seg.dropped] == [(day_id, 60)]
         assert "path component" in seg.dropped[0].reason
@@ -136,7 +175,7 @@ class TestSegmentByDay:
     def test_order_preserving_concatenation(self):
         rng = np.random.default_rng(3)
         p1, p2 = list(1 + rng.random(60)), list(1 + rng.random(60))
-        seg = segment_by_day(make_records("a", p1) + make_records("b", p2))
+        seg = segment_by_day(make_bars(("a", p1), ("b", p2)))
         rebuilt = np.concatenate([d.values for d in seg.days])
         assert np.array_equal(rebuilt, np.asarray(p1 + p2))
 

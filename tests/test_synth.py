@@ -61,6 +61,12 @@ class TestRandomPositive:
         with pytest.raises(ValueError, match="kind"):
             random_positive_series(240, "brownian", seed=0)
 
+    def test_overflowing_walk_is_rejected(self):
+        # exp overflows and underflows along the path; no value is redrawn into a non-walk
+        with np.errstate(over="ignore", under="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                random_positive_series(240, "intraday-walk", seed=0, sigma=100.0)
+
 
 class TestCascade:
     def test_two_level_split(self):

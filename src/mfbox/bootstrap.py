@@ -50,7 +50,7 @@ class BootstrapConfig:
             raise ValueError(f"significance level must be in (0, 1), got {self.significance_level}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapReport:
     """Original (delta_alpha, F), the replicate cloud, its line, and p-values.
 

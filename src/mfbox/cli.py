@@ -264,13 +264,11 @@ def _synth_day(args: argparse.Namespace, index: int, day_id: str) -> PriceSeries
         return constant_series(args.length, args.value, day_id=day_id)
     if args.kind == "cascade":
         spec = CascadeSpec(p=args.p, levels=args.levels, total_mass=args.mass)
-        series = binomial_cascade(spec, seed=seed)
-    else:
-        series = random_positive_series(
-            args.length, args.kind, seed=0 if seed is None else seed,
-            sigma=args.sigma, initial=args.initial,
-        )
-    return PriceSeries(day_id=day_id, values=series.values)
+        return PriceSeries(day_id=day_id, values=binomial_cascade(spec, seed=seed).values)
+    return random_positive_series(
+        args.length, args.kind, seed=0 if seed is None else seed,
+        sigma=args.sigma, initial=args.initial, day_id=day_id,
+    )
 
 
 def write_series_csv(days: list[PriceSeries], path) -> None:

@@ -9,6 +9,7 @@ immutable :class:`PriceSeries`.
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +46,7 @@ class MinuteBars:
         return len(self.date)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """One trading day's strictly positive minute-bar values.
 
@@ -131,6 +132,9 @@ def parse_intraday_csv(
     handled by :func:`segment_by_day`. Raises :class:`IngestError` for an
     unreadable file or a missing or repeated column, :class:`MalformedRowError`
     (naming the file line, blank lines counted) for rows that do not parse.
+
+    Equal date and time cells share one ``str``, and prices are packed as
+    they are read, so the columns hold no Python object per row.
     """
     path = Path(path)
     try:
@@ -138,7 +142,8 @@ def parse_intraday_csv(
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    dates, times, prices = [], [], []
+    dates, times, prices = [], [], array("d")
+    shared: dict[str, str] = {}
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -163,8 +168,8 @@ def parse_intraday_csv(
                     raise MalformedRowError(
                         f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
                     ) from exc
-                dates.append(row[di])
-                times.append(row[ti])
+                dates.append(shared.setdefault(row[di], row[di]))
+                times.append(shared.setdefault(row[ti], row[ti]))
     return MinuteBars(dates, times, np.array(prices, dtype=np.float64))
 
 
@@ -176,16 +181,17 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     non-positive or non-finite price, or when its bar count differs from
     the modal count over the clean days -- the proxy for a recording-error
     day. Ties in the modal count go to the longer day. Kept days appear in
-    first-seen order, values exactly as parsed.
+    first-seen order, values exactly as parsed and in file order.
     """
-    by_day: dict[str, list[float]] = {}
-    for date, price in zip(bars.date, bars.price.tolist()):
-        by_day.setdefault(date, []).append(price)
+    codes: dict[str, int] = {}  # day id -> its number in first-seen order
+    day_of_row = np.fromiter((codes.setdefault(d, len(codes)) for d in bars.date),
+                             dtype=np.intp, count=len(bars))
+    order = np.argsort(day_of_row, kind="stable")  # stable: rows keep file order within a day
+    ends = np.cumsum(np.bincount(day_of_row))[:-1]
 
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}
-    for day_id, prices in by_day.items():
-        vals = np.asarray(prices, dtype=np.float64)
+    for day_id, vals in zip(codes, np.split(bars.price[order], ends)):
         if day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0"):
             dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))
         elif not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):

@@ -18,7 +18,7 @@ import numpy as np
 from .ingest import PriceSeries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxMeasure:
     """Masses and log-weights of one (series, box size) tiling.
 

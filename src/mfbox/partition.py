@@ -21,7 +21,7 @@ from .measure import BoxMeasure, build_box_measure
 _NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentGrid:
     """Strictly increasing moment orders q; must contain exactly 0 and 1."""
 
@@ -74,7 +74,7 @@ class MomentGrid:
         return int(hits[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionSurface:
     """ln chi_q(l): rows follow the moment grid, columns the box scheme."""
 

@@ -10,7 +10,7 @@ from .scaling import MassExponents, fit_mass_exponents
 from .spectrum import SingularitySpectrum, legendre_spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayAnalysis:
     series: PriceSeries
     surface: PartitionSurface

@@ -18,7 +18,7 @@ from .partition import MomentGrid, PartitionSurface
 _TAU_ANCHOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassExponents:
     """Per-q scaling exponents with their fit correlations.
 

@@ -17,7 +17,7 @@ from .partition import MomentGrid
 from .scaling import MassExponents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularitySpectrum:
     """alpha(q), f(alpha(q)), and the two scalar diagnostics.
 

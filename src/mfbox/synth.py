@@ -70,11 +70,13 @@ def random_positive_series(
 
     rng = np.random.default_rng(seed)
     if kind == "iid-lognormal":
-        values = initial * np.exp(sigma * rng.standard_normal(T))
+        log_steps = sigma * rng.standard_normal(T)
     elif kind == "intraday-walk":
-        values = initial * np.exp(np.cumsum(sigma * rng.standard_normal(T)))
+        log_steps = np.cumsum(sigma * rng.standard_normal(T))
     else:
         raise ValueError(f"unknown kind {kind!r}; expected 'iid-lognormal' or 'intraday-walk'")
+    with np.errstate(over="ignore"):  # an overflow gives inf, which PriceSeries rejects
+        values = initial * np.exp(log_steps)
 
     return PriceSeries(day_id=day_id or f"{kind}-{seed}", values=values)
 

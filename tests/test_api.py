@@ -1,12 +1,17 @@
 """The public namespace, the names the benchmark's tracer patches, and the import layering."""
 
 import ast
+import copy
 import importlib
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import mfbox
-from mfbox.ingest import parse_intraday_csv
+from mfbox.ingest import PriceSeries, parse_intraday_csv
+from mfbox.measure import build_box_measure
+from mfbox.partition import MomentGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -49,6 +54,33 @@ def test_traced_row_count_is_data_rows(tmp_path):
     counts = Counter()
     load_tracing()["_count_parse"](counts, (path,), {}, parse_intraday_csv(path))
     assert counts["ingest.rows"] == 3
+
+
+def analysed_day():
+    return mfbox.analyze_series(PriceSeries("d", [1.0, 2.0, 3.0, 4.0]))
+
+
+ARRAY_HOLDERS = {
+    "PriceSeries": lambda: PriceSeries("d", [1.0, 2.0]),
+    "BoxMeasure": lambda: build_box_measure(PriceSeries("d", [1.0, 2.0, 3.0, 4.0]), 2),
+    "MomentGrid": lambda: MomentGrid.from_range(-2, 2),
+    "PartitionSurface": lambda: analysed_day().surface,
+    "MassExponents": lambda: analysed_day().exponents,
+    "SingularitySpectrum": lambda: analysed_day().spectrum,
+    "DayAnalysis": analysed_day,
+    "BootstrapReport": lambda: mfbox.bootstrap_analysis(
+        PriceSeries("d", [1.0, 2.0, 3.0, 4.0]), mfbox.derive_box_scheme(4),
+        MomentGrid.from_range(-2, 2), mfbox.BootstrapConfig(replicates=3)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # Field-wise == would ask numpy for the truth value of an array and raise.
+    x = make()
+    assert x == x
+    assert (x == copy.deepcopy(x)) is False
+    assert hash(x) == hash(x)
 
 
 def imported_names(tree):

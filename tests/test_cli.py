@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,15 @@ class TestSynthValidation:
         assert code == 2
         assert not path.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    def test_overflowing_walk_error_names_the_cli_date(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not reach stderr
+            code = run("synth", "--kind", "intraday-walk", "--out", str(tmp_path / "x.csv"),
+                       "--sigma", "100")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mfbox: configuration error: day 2000-01-03: non-finite value present\n")
 
     def test_multi_day_seeds_differ(self, tmp_path):
         path = tmp_path / "multi.csv"

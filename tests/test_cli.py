@@ -343,8 +343,7 @@ class TestSynthValidation:
 
     def test_overflowing_walk_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
-        with np.errstate(over="ignore", under="ignore"):
-            code = run("synth", "--kind", "intraday-walk", "--out", str(path), "--sigma", "100")
+        code = run("synth", "--kind", "intraday-walk", "--out", str(path), "--sigma", "100")
         assert code == 2
         assert not path.exists()
         assert "configuration error" in capsys.readouterr().err

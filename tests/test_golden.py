@@ -25,6 +25,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -48,9 +49,8 @@ def day_id(i: int) -> str:
 
 
 def walk(i: int, T: int) -> PriceSeries:
-    values = random_positive_series(T, "intraday-walk", seed=20 + i, sigma=0.0005,
-                                    initial=15000).values
-    return PriceSeries(day_id(i), values)
+    return random_positive_series(T, "intraday-walk", seed=20 + i, sigma=0.0005, initial=15000,
+                                  day_id=day_id(i))
 
 
 def bar_lines(day: PriceSeries) -> list[str]:
@@ -228,8 +228,6 @@ def test_value_comparison_catches_a_changed_digit(golden):
 
 
 def write_golden(path: Path = GOLDEN) -> None:
-    import tempfile
-
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:

@@ -192,7 +192,7 @@ class TestSegmentByDay:
 
 def test_ingest_memory_per_row(tmp_path):
     # 40 days of 390 bars. The columns must hold no Python object per row:
-    # one str per date and time cell and one float per price took about
+    # a str per date and time cell and a float per price come to about
     # 140 B per row after parsing and 190 B at the segmentation peak.
     n_days, T = 40, 390
     rng = np.random.default_rng(1)

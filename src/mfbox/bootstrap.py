@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import BoxScheme, PriceSeries
-from .measure import box_log_weights
-from .partition import MomentGrid, PartitionSurface, _log_moment_sums, check_log_chi
+from .partition import MomentGrid, PartitionSurface, check_log_chi, log_chi_columns
 from .pipeline import DayAnalysis, analyze_series
 from .scaling import _ols_slope, fit_tau
 from .spectrum import legendre_transform
@@ -105,8 +104,8 @@ def _replicate_block(
     functions behind :func:`analyze_series`, so every guard checks every replicate and each
     point equals the full chain's on the permuted day. Every replicate starts from the day's
     own ``surface``: its l = 1 and l = T columns do not change under permutation, so only
-    the columns 1 < l < T are recomputed. k = max(1, min(n_q, T // n_l)) and column l runs
-    l replicates at a time, so no array exceeds the n_q * T cells of that l = 1 column.
+    the columns 1 < l < T are recomputed, by :func:`log_chi_columns` under its memory rule.
+    k = max(1, min(n_q, T // n_l)), so the block's own arrays stay within n_q * T cells too.
     """
     grid, scheme, T = surface.grid, surface.scheme, series.length
     if scheme.series_length != T:
@@ -114,7 +113,8 @@ def _replicate_block(
     q, i0, i1 = grid.q_values, grid.index_of(0.0), grid.index_of(1.0)
     ln_counts = np.log(np.asarray(scheme.box_counts, dtype=np.float64))
     ln_sizes = np.log(np.asarray(scheme.sizes, dtype=np.float64))
-    varying = [(j, l) for j, l in enumerate(scheme.sizes) if 1 < l < T]
+    # The sizes increase, so those with 1 < l < T are one run of columns.
+    varying = slice(int(scheme.sizes[0] == 1), len(scheme.sizes) - int(scheme.sizes[-1] == T))
     k = max(1, min(q.size, T // len(scheme.sizes)))
     permuted, out = np.empty((k, T)), np.empty((len(indices), 2))
     for lo in range(0, len(indices), k):
@@ -123,9 +123,7 @@ def _replicate_block(
             permuted[r] = permuted_values(series.values, i, master_seed)
         values = permuted[:len(block)]
         log_chi = np.repeat(surface.log_chi[None], len(block), axis=0)
-        for j, l in varying:
-            for c in range(0, len(block), l):
-                log_chi[c:c + l, :, j] = _log_moment_sums(box_log_weights(values[c:c + l], l)[1], q)
+        log_chi_columns(values, scheme.sizes[varying], q, log_chi[..., varying])
         check_log_chi(log_chi, i0, i1, ln_counts)
         tau = fit_tau(log_chi, ln_sizes, i0, i1)
         _, _, delta_alpha, f_mid = legendre_transform(tau, q)

@@ -34,6 +34,13 @@ class MalformedRowError(IngestError):
     """A specific CSV row could not be parsed; the message names the row."""
 
 
+def frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``, as every frozen result type holds its arrays."""
+    arr = np.asarray(values, dtype=np.float64).copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MinuteBars:
     """Minute-bar columns in file order: one date, time and price per data row."""
@@ -41,6 +48,11 @@ class MinuteBars:
     date: list[str]
     time: list[str]
     price: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.date) == len(self.time) == len(self.price):
+            raise ValueError(f"column lengths differ: {len(self.date)} dates, "
+                             f"{len(self.time)} times, {len(self.price)} prices")
 
     def __len__(self) -> int:
         return len(self.date)
@@ -58,7 +70,7 @@ class PriceSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = frozen_array(self.values)
         if vals.ndim != 1:
             raise ValueError(f"day {self.day_id}: values must be 1-D")
         if vals.size < 2:
@@ -67,8 +79,6 @@ class PriceSeries:
             raise ValueError(f"day {self.day_id}: non-finite value present")
         if np.any(vals <= 0.0):
             raise ValueError(f"day {self.day_id}: non-positive value present")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

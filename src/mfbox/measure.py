@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import PriceSeries
+from .ingest import PriceSeries, frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +32,7 @@ class BoxMeasure:
 
     def __post_init__(self):
         for name in ("raw_mass", "log_weights"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         if self.raw_mass.size == 0 or self.raw_mass.size != self.log_weights.size:
             raise ValueError("raw_mass and log_weights must be equal-length and non-empty")
         if np.any(self.raw_mass <= 0.0) or not np.all(np.isfinite(self.raw_mass)):
@@ -53,12 +50,16 @@ def box_log_weights(values: np.ndarray, box_size: int) -> tuple[np.ndarray, np.n
     Boxes are summed with numpy (relative error at most l * eps) and normalised by the
     compensated sum (math.fsum) of each row's masses: the weights sum to 1 to 1e-12, the
     l = 1 weights do not depend on the value order, and the l = T log-weight is exactly 0.
+    A box mass that overflows raises ValueError before any log is taken.
     """
     l = int(box_size)
     T = values.shape[-1]
     if l < 1 or T % l != 0:
         raise ValueError(f"box size {l} does not divide series length {T}")
-    raw = values.reshape(*values.shape[:-1], T // l, l).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        raw = values.reshape(*values.shape[:-1], T // l, l).sum(axis=-1)
+    if not np.isfinite(raw).all():
+        raise ValueError("box masses must be positive and finite")
     norms = [math.log(math.fsum(row.tolist())) for row in raw.reshape(-1, T // l)]
     return raw, np.log(raw) - np.reshape(norms, raw.shape[:-1] + (1,))
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import BoxScheme, PriceSeries
-from .measure import BoxMeasure, build_box_measure
+from .ingest import BoxScheme, PriceSeries, frozen_array
+from .measure import BoxMeasure, box_log_weights
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -28,7 +28,7 @@ class MomentGrid:
     q_values: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q_values, dtype=np.float64).copy()
+        q = frozen_array(self.q_values)
         if q.ndim != 1 or q.size < 2:
             raise ValueError("moment grid must be a 1-D sequence of at least 2 orders")
         if not np.all(np.isfinite(q)):
@@ -37,7 +37,6 @@ class MomentGrid:
             raise ValueError("moment orders must be strictly increasing (no duplicates)")
         if not np.any(q == 0.0) or not np.any(q == 1.0):
             raise ValueError("moment grid must contain q = 0 and q = 1 exactly")
-        q.flags.writeable = False
         object.__setattr__(self, "q_values", q)
 
     @classmethod
@@ -83,14 +82,12 @@ class PartitionSurface:
     log_chi: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.log_chi, dtype=np.float64).copy()
+        object.__setattr__(self, "log_chi", frozen_array(self.log_chi))
         nq, nl = self.grid.size, len(self.scheme.sizes)
-        if mat.shape != (nq, nl):
-            raise ValueError(f"log_chi shape {mat.shape} != (n_q, n_l) = {(nq, nl)}")
-        check_log_chi(mat, self.grid.index_of(0.0), self.grid.index_of(1.0),
+        if self.log_chi.shape != (nq, nl):
+            raise ValueError(f"log_chi shape {self.log_chi.shape} != (n_q, n_l) = {(nq, nl)}")
+        check_log_chi(self.log_chi, self.grid.index_of(0.0), self.grid.index_of(1.0),
                       np.log(np.asarray(self.scheme.box_counts, dtype=np.float64)))
-        mat.flags.writeable = False
-        object.__setattr__(self, "log_chi", mat)
 
 
 def check_log_chi(log_chi: np.ndarray, i0: int, i1: int, ln_counts: np.ndarray) -> None:
@@ -130,6 +127,18 @@ def log_partition_value(measure: BoxMeasure, q: float) -> float:
     return float(_log_moment_sums(measure.log_weights, np.asarray([float(q)]))[0])
 
 
+def log_chi_columns(values: np.ndarray, sizes, q: np.ndarray, out: np.ndarray) -> None:
+    """Write ln chi_q(l) of each of the k rows of ``values`` (k, T) into ``out`` (k, n_q, n_l).
+
+    Serves a day (k = 1) and blocks of its replicates, which pass a view of their surfaces.
+    Memory rule: column l runs l rows at a time, so no array made here exceeds the n_q * T
+    cells of one row's l = 1 column, whatever k is. Each row equals its one-row call bit for bit.
+    """
+    for j, l in enumerate(sizes):
+        for c in range(0, len(values), l):
+            out[c:c + l, :, j] = _log_moment_sums(box_log_weights(values[c:c + l], l)[1], q)
+
+
 def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) -> PartitionSurface:
     """Evaluate ln chi_q(l) for every grid order and scheme size.
 
@@ -140,9 +149,6 @@ def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) 
         raise ValueError(
             f"scheme is for length {scheme.series_length}, series has {series.length}"
         )
-    q = grid.q_values
-    columns = []
-    for l in scheme.sizes:
-        m = build_box_measure(series, l)
-        columns.append(_log_moment_sums(m.log_weights, q))
-    return PartitionSurface(grid=grid, scheme=scheme, log_chi=np.column_stack(columns))
+    log_chi = np.empty((grid.size, len(scheme.sizes)))
+    log_chi_columns(series.values[None], scheme.sizes, grid.q_values, log_chi[None])
+    return PartitionSurface(grid=grid, scheme=scheme, log_chi=log_chi)

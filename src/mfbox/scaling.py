@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import frozen_array
 from .partition import MomentGrid, PartitionSurface
 
 _TAU_ANCHOR_TOL = 1e-10
@@ -33,16 +34,12 @@ class MassExponents:
     alpha_bar_stderr: float
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.float64).copy()
-        r = np.asarray(self.r, dtype=np.float64).copy()
-        if tau.shape != (self.grid.size,) or r.shape != (self.grid.size,):
+        for name in ("tau", "r"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+        if self.tau.shape != (self.grid.size,) or self.r.shape != (self.grid.size,):
             raise ValueError("tau and r must match the moment grid")
-        if np.max(np.abs(r)) > 1.0:
+        if np.max(np.abs(self.r)) > 1.0:
             raise ValueError("correlation coefficient outside [-1, 1]")
-        tau.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "r", r)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import frozen_array
 from .partition import MomentGrid
 from .scaling import MassExponents
 
@@ -33,16 +34,12 @@ class SingularitySpectrum:
     f_mid: float
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64).copy()
-        f = np.asarray(self.f, dtype=np.float64).copy()
-        if alpha.shape != (self.grid.size,) or f.shape != (self.grid.size,):
+        for name in ("alpha", "f"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+        if self.alpha.shape != (self.grid.size,) or self.f.shape != (self.grid.size,):
             raise ValueError("alpha and f must match the moment grid")
         if self.delta_alpha < 0.0:
             raise ValueError("delta_alpha must be non-negative")
-        alpha.flags.writeable = False
-        f.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "f", f)
 
 
 def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mfbox.bootstrap
+import mfbox.partition
 from mfbox.bootstrap import (
     BootstrapConfig,
     batch_summary,
@@ -192,13 +193,13 @@ class TestReplicatePath:
     @staticmethod
     def _record_box_sizes(monkeypatch):
         # Box size of every box_log_weights call the replicate path makes.
-        real, sizes = mfbox.bootstrap.box_log_weights, []
+        real, sizes = mfbox.partition.box_log_weights, []
 
         def recording(values, box_size):
             sizes.append(box_size)
             return real(values, box_size)
 
-        monkeypatch.setattr(mfbox.bootstrap, "box_log_weights", recording)
+        monkeypatch.setattr(mfbox.partition, "box_log_weights", recording)
         return sizes
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -232,7 +233,7 @@ class TestReplicatePath:
 
     def _fault_chi1_of_third_replicate(self, monkeypatch, offset):
         # Moves ln chi_1 of replicate 2, at l = 2 only, by offset.
-        real, hits = mfbox.bootstrap._log_moment_sums, []
+        real, hits = mfbox.partition._log_moment_sums, []
         i1 = self.GRID.index_of(1.0)
         target = box_log_weights(self._replicate(2).values, 2)[1]
 
@@ -244,7 +245,7 @@ class TestReplicatePath:
                     out[r, i1] += offset
             return out
 
-        monkeypatch.setattr(mfbox.bootstrap, "_log_moment_sums", off_in_third_replicate)
+        monkeypatch.setattr(mfbox.partition, "_log_moment_sums", off_in_third_replicate)
         return hits
 
     def _fault_tau0_of_second_replicate(self, monkeypatch, offset):

@@ -22,6 +22,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so stderr holds everything it prints, warnings too."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mfbox.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -235,12 +242,8 @@ class TestUnsafeInput:
         days.append(random_positive_series(30, "iid-lognormal", seed=3, day_id="2001-01-03"))
         path = tmp_path / "in.csv"
         write_series_csv(days, path)
-        env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfbox.cli", "analyze", "--input", str(path),
-             "--outdir", str(tmp_path / "out"), "--q-min", "-4", "--q-max", "4"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = cli_process("analyze", "--input", str(path), "--outdir", str(tmp_path / "out"),
+                           "--q-min", "-4", "--q-max", "4")
         assert proc.returncode == 0
         lines = [line for line in proc.stderr.splitlines() if "2001-01-03" in line]
         assert len(lines) == 1
@@ -277,6 +280,15 @@ class TestExitCodes:
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
                    "--export", item) == 2
         assert "choose from ('surface',)" in capsys.readouterr().err
+
+    def test_overflowing_day_is_one_line_numeric_failure(self, tmp_path):
+        # 1.5e308 is finite, but its box sums at l = 2 are not
+        path = tmp_path / "in.csv"
+        write_series_csv([PriceSeries("2001-01-02", np.full(240, 1.5e308))], path)
+        proc = cli_process("analyze", "--input", str(path), "--outdir", str(tmp_path / "out"),
+                           "--boxes", "2,4,8,240")
+        assert proc.returncode == 4
+        assert proc.stderr == "mfbox: numeric failure: box masses must be positive and finite\n"
 
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2

@@ -134,6 +134,13 @@ def make_bars(*days):
     return MinuteBars(date, time, np.asarray(price, dtype=np.float64))
 
 
+@pytest.mark.parametrize("n_dates, n_times, n_prices", [(3, 3, 1), (3, 3, 4), (3, 2, 3)])
+def test_minute_bars_columns_must_have_one_length(n_dates, n_times, n_prices):
+    # a short price column used to fail deep in segment_by_day; a long one lost prices silently
+    with pytest.raises(ValueError, match="column lengths differ"):
+        MinuteBars(["a"] * n_dates, ["t"] * n_times, np.ones(n_prices))
+
+
 class TestSegmentByDay:
     def test_clean_split(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ class TestErrors:
     def test_non_divisor(self):
         with pytest.raises(ValueError, match="divide"):
             build_box_measure(PriceSeries("d", [1.0, 2.0, 3.0]), 2)
+
+    def test_overflowing_box_sum_raises_before_any_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box masses must be positive and finite"):
+                box_log_weights(np.full((2, 4), 1.5e308), 2)
 
     def test_immutability(self):
         m = build_box_measure(PriceSeries("d", [1.0, 2.0, 3.0, 4.0]), 2)

@@ -13,6 +13,7 @@ from mfbox.partition import (
     MomentGrid,
     PartitionSurface,
     _log_moment_sums,
+    log_chi_columns,
     log_partition_value,
     partition_surface,
 )
@@ -236,6 +237,17 @@ class TestBatchedRows:
         assert sums.shape == shape + (q.size,)
         for row in np.ndindex(shape):
             assert np.array_equal(sums[row], _log_moment_sums(log_weights[row], q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([7, 12, 60, 240]), st.integers(0, 2 ** 32 - 1))
+    def test_log_chi_columns(self, k, T, seed):
+        # k below, between and above the box sizes: column l runs l rows at a time
+        values = magnitudes(np.random.default_rng(seed), (k, T))
+        scheme, grid = derive_box_scheme(T), MomentGrid.from_range(-8, 8, 1.0)
+        log_chi = np.full((k, grid.size, len(scheme.sizes)), np.nan)
+        log_chi_columns(values, scheme.sizes, grid.q_values, log_chi)
+        for row, day in zip(log_chi, values):
+            assert np.array_equal(row, partition_surface(PriceSeries("d", day), scheme, grid).log_chi)
 
     @settings(max_examples=60, deadline=None)
     @given(batches(min_length=2))

@@ -27,7 +27,7 @@ import numpy as np
 from .ingest import BoxScheme, PriceSeries
 from .partition import MomentGrid, PartitionSurface, check_log_chi, log_chi_columns
 from .pipeline import DayAnalysis, analyze_series
-from .scaling import _ols_slope, fit_tau
+from .scaling import _ols, fit_tau
 from .spectrum import legendre_transform
 
 logger = logging.getLogger(__name__)
@@ -160,7 +160,7 @@ def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfi
     if B == 0:
         raise ValueError(f"day {day_id}: empty replicate cloud")
     try:
-        k, b, _ = _ols_slope(replicates[:, 0], replicates[:, 1])
+        k, b = map(float, _ols(replicates[:, 0], replicates[:, 1]))
     except ValueError:
         k, b = None, None
 

@@ -289,10 +289,12 @@ def run_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--start-date must be YYYY-MM-DD, got {args.start_date!r}") from exc
     try:
-        days = [
-            _synth_day(args, i, (start + datetime.timedelta(days=i)).isoformat())
-            for i in range(args.days)
-        ]
+        day_ids = [(start + datetime.timedelta(days=i)).isoformat() for i in range(args.days)]
+    except OverflowError as exc:
+        raise ConfigError(f"--days {args.days} from --start-date {args.start_date} "
+                          f"runs past {datetime.date.max}") from exc
+    try:
+        days = [_synth_day(args, i, day_id) for i, day_id in enumerate(day_ids)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_series_csv(days, args.out)

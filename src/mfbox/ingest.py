@@ -98,8 +98,6 @@ class BoxScheme:
         T = int(self.series_length)
         if T < 2:
             raise ValueError(f"series length must be >= 2, got {T}")
-        if len(sizes) < 2:
-            raise ValueError("box scheme needs at least 2 sizes for the scaling fit")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"box sizes must be strictly increasing: {sizes}")
         for s in sizes:
@@ -107,6 +105,8 @@ class BoxScheme:
                 raise ValueError(f"box size {s} outside [1, {T}]")
             if T % s != 0:
                 raise ValueError(f"box size {s} does not divide series length {T}")
+        if len(sizes) < 3:
+            raise ValueError("box scheme needs at least 3 sizes for the scaling fit")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "series_length", T)
 

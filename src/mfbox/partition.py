@@ -23,14 +23,14 @@ _NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class MomentGrid:
-    """Strictly increasing moment orders q; must contain exactly 0 and 1."""
+    """Strictly increasing moment orders q, at least 3; must contain exactly 0 and 1."""
 
     q_values: np.ndarray
 
     def __post_init__(self):
         q = frozen_array(self.q_values)
-        if q.ndim != 1 or q.size < 2:
-            raise ValueError("moment grid must be a 1-D sequence of at least 2 orders")
+        if q.ndim != 1 or q.size < 3:
+            raise ValueError("moment grid must be a 1-D sequence of at least 3 orders")
         if not np.all(np.isfinite(q)):
             raise ValueError("moment grid must be finite")
         if np.any(np.diff(q) <= 0.0):

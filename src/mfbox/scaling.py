@@ -42,25 +42,19 @@ class MassExponents:
             raise ValueError("correlation coefficient outside [-1, 1]")
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept, and standard error of the slope for y on x.
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope and intercept of each row of ``y`` (..., n) against ``x`` (n,).
 
-    Raises ValueError when every x is identical (no line can be fitted).
+    Both results have the leading shape of ``y``. Raises ValueError when every x
+    is identical (no line can be fitted).
     """
-    n = x.size
     xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
+    sxx = xc @ xc
     if sxx == 0.0:
         raise ValueError("degenerate fit: all x values identical")
-    slope = float(xc @ yc) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    if n > 2:
-        stderr = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    else:
-        stderr = float("nan")
-    return slope, intercept, stderr
+    y_mean = y.mean(axis=-1)
+    slope = (y - y_mean[..., None]) @ xc / sxx
+    return slope, y_mean - slope * x.mean()
 
 
 def fit_tau(log_chi: np.ndarray, ln_sizes: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -70,8 +64,7 @@ def fit_tau(log_chi: np.ndarray, ln_sizes: np.ndarray, i0: int, i1: int) -> np.n
     and tau(1) = 0 for every fitted surface (rows ``i0`` and ``i1``); a violation
     beyond 1e-10 means the surface was built wrong and raises ValueError.
     """
-    xc = ln_sizes - ln_sizes.mean()
-    tau = (log_chi - log_chi.mean(axis=-1, keepdims=True)) @ xc / (xc @ xc)
+    tau = _ols(ln_sizes, log_chi)[0]
     if np.max(np.abs(tau[..., i1])) > _TAU_ANCHOR_TOL:
         raise ValueError("tau(1) deviates from 0 beyond 1e-10")
     if np.max(np.abs(tau[..., i0] + 1.0)) > _TAU_ANCHOR_TOL:
@@ -107,19 +100,21 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     r[flat] = 0.0
     r = np.clip(r, -1.0, 1.0)
 
-    alpha_bar, _, stderr = _ols_slope(grid.q_values, tau)
+    q = grid.q_values
+    alpha_bar, intercept = _ols(q, tau)
+    resid, qc = tau - (alpha_bar * q + intercept), q - q.mean()
+    stderr = math.sqrt(float(resid @ resid) / (q.size - 2) / float(qc @ qc))
     return MassExponents(
-        grid=grid, tau=tau, r=r, alpha_bar=alpha_bar, alpha_bar_stderr=stderr
+        grid=grid, tau=tau, r=r, alpha_bar=float(alpha_bar), alpha_bar_stderr=stderr
     )
 
 
 def tau_linearity_report(exponents: MassExponents) -> float:
-    """The largest deviation of tau from the fitted alpha_bar line through (q, tau).
+    """The largest deviation of tau from its least-squares line in q (slope alpha_bar).
 
     A small maximum residual is the direct evidence that the measure is
     monofractal (tau linear in q).
     """
-    q, tau, slope = exponents.grid.q_values, exponents.tau, exponents.alpha_bar
-    intercept = float(tau.mean() - slope * q.mean())
-    resid = tau - (slope * q + intercept)
-    return float(np.max(np.abs(resid)))
+    q, tau = exponents.grid.q_values, exponents.tau
+    slope, intercept = _ols(q, tau)
+    return float(np.max(np.abs(tau - (slope * q + intercept))))

@@ -51,8 +51,6 @@ def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]
     points tie exactly, the one nearest the extreme q wins (largest q for alpha_min,
     smallest for alpha_max), matching where each extremum lives for a concave tau.
     """
-    if q.size < 3:
-        raise ValueError("need at least 3 moment orders for finite differences")
     alpha = np.gradient(tau, q, axis=-1, edge_order=2)
     f = q * alpha - tau
 

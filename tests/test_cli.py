@@ -290,6 +290,17 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr == "mfbox: numeric failure: box masses must be positive and finite\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "shuffle-test", "batch"])
+    def test_prime_day_length_is_config_error(self, tmp_path, capsys, command):
+        # (1, 241) is the only box scheme of a prime length: no column a shuffle can change
+        path, out = tmp_path / "prime.csv", tmp_path / "out"
+        write_series_csv([walk_day(1, T=241), walk_day(2, T=241)], path)
+        assert run(command, "--input", str(path), "--outdir", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "mfbox: configuration error: box scheme invalid for day length 241: "
+            "box scheme needs at least 3 sizes for the scaling fit\n")
+        assert not out.exists()
+
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2
 
@@ -359,6 +370,13 @@ class TestSynthValidation:
         assert code == 2
         assert not path.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    def test_date_overflow_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        assert run("synth", "--kind", "constant", "--out", str(path), "--days", "2",
+                   "--start-date", "9999-12-31") == 2
+        assert capsys.readouterr().err.startswith("mfbox: configuration error:")
+        assert not path.exists()
 
     def test_overflowing_walk_error_names_the_cli_date(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -263,6 +263,8 @@ class TestBoxScheme:
             derive_box_scheme(240, override=[1, 7])
         with pytest.raises(ValueError):
             derive_box_scheme(240, override=[240])  # a single size cannot anchor a fit
+        with pytest.raises(ValueError, match="at least 3 sizes"):
+            derive_box_scheme(240, override=[1, 240])  # no size a shuffle can change
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from mfbox.partition import (
     log_partition_value,
     partition_surface,
 )
-from mfbox.scaling import fit_tau
+from mfbox.scaling import _ols, fit_tau
 from mfbox.spectrum import legendre_transform
 from mfbox.synth import constant_series
 
@@ -57,6 +57,8 @@ class TestMomentGrid:
             MomentGrid(np.array([-3.0, 0.5, 1.0]))
         with pytest.raises(ValueError, match="increasing"):
             MomentGrid(np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="at least 3 orders"):
+            MomentGrid(np.array([0.0, 1.0]))
 
 
 class TestLogPartitionValue:
@@ -164,13 +166,17 @@ class TestSurface:
             PartitionSurface(grid=surf.grid, scheme=surf.scheme, log_chi=bad)
 
 
+COMPOSITE_LENGTHS = [T for T in range(4, 513) if any(T % d == 0 for d in range(2, T))]
+
+
 @st.composite
 def days_and_permutations(draw):
-    """A day of length 2..512 with magnitudes in [1e-300, 1e300], and a permutation of it.
+    """A day of composite length 4..512 with magnitudes in [1e-300, 1e300], and a permutation of it.
 
-    The cap of 1e300 keeps T * max finite, so every box mass is finite.
+    A prime length has only the sizes (1, T), which no box scheme accepts. The cap of
+    1e300 keeps T * max finite, so every box mass is finite.
     """
-    T = draw(st.integers(2, 512))
+    T = draw(st.sampled_from(COMPOSITE_LENGTHS))
     lo = draw(st.floats(-300.0, 300.0))
     hi = draw(st.floats(lo, 300.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -239,7 +245,7 @@ class TestBatchedRows:
             assert np.array_equal(sums[row], _log_moment_sums(log_weights[row], q))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 9), st.sampled_from([7, 12, 60, 240]), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 9), st.sampled_from([49, 12, 60, 240]), st.integers(0, 2 ** 32 - 1))
     def test_log_chi_columns(self, k, T, seed):
         # k below, between and above the box sizes: column l runs l rows at a time
         values = magnitudes(np.random.default_rng(seed), (k, T))
@@ -263,6 +269,19 @@ class TestBatchedRows:
         assert tau.shape == shape + (q.size,)
         for row in np.ndindex(shape):
             assert np.array_equal(tau[row], fit_tau(log_chi[row], ln_sizes, i0, i1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(min_length=2), st.integers(1, 20))
+    def test_ols(self, batch, m):
+        # BLAS gives a row of a matrix-vector product bits that depend on the matrix's row
+        # count, so the unit that keeps its bits is one (m, n) matrix: a surface for fit_tau.
+        shape, n, rng = batch
+        x, y = rng.standard_normal(n), rng.standard_normal(shape + (m, n))
+        slope, intercept = _ols(x, y)
+        assert slope.shape == intercept.shape == shape + (m,)
+        for row in np.ndindex(shape):
+            slope_1, intercept_1 = _ols(x, y[row])
+            assert np.array_equal(slope[row], slope_1) and np.array_equal(intercept[row], intercept_1)
 
     @settings(max_examples=60, deadline=None)
     @given(batches(min_length=3), st.booleans())

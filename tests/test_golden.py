@@ -58,6 +58,12 @@ def bar_lines(day: PriceSeries) -> list[str]:
             for i, v in enumerate(day.values.tolist())]
 
 
+def cascades(path: Path, n: int) -> None:
+    write_series_csv([PriceSeries(day_id(s), binomial_cascade(CascadeSpec(p=0.6, levels=8),
+                                                              seed=s).values)
+                      for s in range(n)], path)
+
+
 def interleaved(path: Path) -> None:
     a, b = bar_lines(walk(0, 60)), bar_lines(walk(1, 60))
     rows = [row for pair in zip(a, b) for row in pair]
@@ -79,10 +85,12 @@ CASES = {
         ("batch", "--export", "scatter,surface", "--store-replicates", "--bootstrap", "60",
          "--seed", "7", *SMALL_GRID)),
     "shuffle-cascade": (
-        lambda p: write_series_csv(
-            [PriceSeries(day_id(s), binomial_cascade(CascadeSpec(p=0.6, levels=8), seed=s).values)
-             for s in range(2)], p),
+        lambda p: cascades(p, 2),
         ("shuffle-test", "--bootstrap", "60", "--seed", "3", "--q-min", "-5", "--q-max", "5")),
+    # days 0 and 2 print the p1/p2 disagreement line; day 1 sits at exactly 0.1 and does not
+    "shuffle-disagree": (
+        lambda p: cascades(p, 3),
+        ("shuffle-test", "--bootstrap", "20", "--seed", "3", *SMALL_GRID)),
     "batch-constant": (
         lambda p: write_series_csv([constant_series(60, 5.0, day_id(i)) for i in range(2)], p),
         ("batch", "--bootstrap", "60", *SMALL_GRID)),

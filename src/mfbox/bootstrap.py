@@ -17,7 +17,6 @@ regardless of how replicates are scheduled across workers.
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from .partition import MomentGrid, PartitionSurface, check_log_chi, log_chi_colu
 from .pipeline import DayAnalysis, analyze_series
 from .scaling import _ols, fit_tau
 from .spectrum import legendre_transform
-
-logger = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,12 +134,14 @@ def replicate_clouds(
     """The (B, 2) replicate cloud of every analysed day, in day order.
 
     Each day's replicates run on the grid and box scheme of its own surface.
-    n_jobs is capped at the CPU count; above 1, each day's replicates are split
-    into min(4 * n_jobs, B) blocks and every (day, block) task runs on one
-    process pool, otherwise all tasks run in this process. Replicates are keyed
-    by index, so the clouds are bit-identical however the tasks are scheduled.
+    n_jobs is capped at the CPUs this process may use; above 1, each day's
+    replicates are split into min(4 * n_jobs, B) blocks and every (day, block)
+    task runs on one process pool, otherwise all tasks run in this process.
+    Replicates are keyed by index, so the clouds are bit-identical under any
+    schedule.
     """
-    B, n_jobs = cfg.replicates, min(n_jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1)
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
     tasks = [(day.series, day.surface, cfg.master_seed, block) for day in days for block in blocks]
     if n_jobs > 1:
@@ -166,8 +165,6 @@ def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfi
 
     p1 = float(np.count_nonzero(spectrum.delta_alpha <= replicates[:, 0])) / B
     p2 = float(np.count_nonzero(spectrum.f_mid >= replicates[:, 1])) / B
-    if abs(p1 - p2) > 0.1:
-        logger.warning("day %s: p1 = %.3f and p2 = %.3f disagree by more than 0.1", day_id, p1, p2)
 
     level = cfg.significance_level
     return BootstrapReport(

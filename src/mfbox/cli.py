@@ -6,10 +6,10 @@ Subcommands:
     batch         analyze + shuffle-test for every day, plus batch summary
     synth         generate synthetic control data in the ingestion format
 
-Only shuffle-test and batch take --bootstrap, --level and --store-replicates,
-and --export takes only the tables the command writes; analyze accepts but
-ignores --seed and --workers. The parser owns every default, and MomentGrid
-and BootstrapConfig own the range checks.
+Only shuffle-test and batch take --bootstrap and --level, and --export takes
+only the tables the command writes; analyze accepts but ignores --seed and
+--workers. The parser owns every default, and MomentGrid and BootstrapConfig
+own the range checks.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
 4 numeric failure.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +71,6 @@ class RunConfig:
     price_col: str
     export: frozenset
     workers: int
-    store_replicates: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,12 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the other tables are always written")
         p.add_argument("--seed", type=int, default=0, help="master seed for shuffling" + unused)
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes, at most the CPU count" + unused)
+                       help="worker processes, at most the CPUs this process may use" + unused)
         if shuffles:
             p.add_argument("--bootstrap", type=int, default=1000, help="shuffle replicates per day")
             p.add_argument("--level", type=float, default=0.05, help="significance level")
-            p.add_argument("--store-replicates", action="store_true",
-                           help="embed the replicate cloud in the report JSON")
 
     p_sy = sub.add_parser("synth", help="write synthetic control data as CSV")
     p_sy.add_argument("--out", required=True, help="output CSV path")
@@ -152,7 +148,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command, input=Path(args.input), outdir=Path(args.outdir), grid=grid,
         boxes=_parse_boxes(args.boxes), shuffle=shuffle, date_col=args.date_col,
         time_col=args.time_col, price_col=args.price_col, export=export, workers=args.workers,
-        store_replicates=shuffle is not None and args.store_replicates,
     )
 
 
@@ -199,8 +194,8 @@ def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
     )
 
 
-def _report_dict(report: BootstrapReport, include_replicates: bool = False) -> dict:
-    out = {
+def _report_dict(report: BootstrapReport) -> dict:
+    return {
         "day": report.day_id,
         "delta_alpha": round_for_json(report.delta_alpha),
         "F": round_for_json(report.f_mid),
@@ -211,16 +206,12 @@ def _report_dict(report: BootstrapReport, include_replicates: bool = False) -> d
         "significant_1": report.significant_1,
         "significant_2": report.significant_2,
     }
-    if include_replicates:
-        out["replicates"] = [[round_for_json(d), round_for_json(f)]
-                             for d, f in report.replicates.tolist()]
-    return out
 
 
 def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -> None:
     for report in reports:
         day_dir = cfg.outdir / report.day_id
-        write_json(day_dir / "shuffle_test.json", _report_dict(report, cfg.store_replicates))
+        write_json(day_dir / "shuffle_test.json", _report_dict(report))
         if "scatter" in cfg.export:
             write_csv(day_dir / "scatter.csv", ("delta_alpha_rnd", "F_rnd"), (report.replicates,))
     if len(reports) > 1 or cfg.command == "batch":
@@ -242,11 +233,14 @@ def run_days(cfg: RunConfig) -> int:
 
     A day's analysis artifacts (analyze, batch) are written as soon as it is
     analysed, so analyze streams; the shuffle test then sends every day's
-    replicates to one scheduler and scores each day against its cloud.
+    replicates to one scheduler and scores each day against its cloud, noting
+    on stderr, in day order, each day whose p1 and p2 differ by more than 0.1.
     """
+    days = _load_days(cfg)
+    scheme = _scheme_for(cfg, days[0].length) if days else None  # one length for all days
     tested = []  # the analysis of each day to shuffle-test
-    for day in _load_days(cfg):
-        analysis = analyze_series(day, _scheme_for(cfg, day.length), cfg.grid)
+    for day in days:
+        analysis = analyze_series(day, scheme, cfg.grid)
         if cfg.command != "shuffle-test":
             _write_analysis_artifacts(cfg, analysis)
         if cfg.command != "analyze":
@@ -254,6 +248,10 @@ def run_days(cfg: RunConfig) -> int:
     if tested:
         clouds = replicate_clouds(tested, cfg.shuffle, cfg.workers)
         reports = [shuffle_report(day, cloud, cfg.shuffle) for day, cloud in zip(tested, clouds)]
+        for r in reports:
+            if abs(r.p1 - r.p2) > 0.1:
+                print(f"mfbox.bootstrap: day {r.day_id}: p1 = {r.p1:.3f} and p2 = {r.p2:.3f} "
+                      "disagree by more than 0.1", file=sys.stderr)
         _write_bootstrap_artifacts(cfg, reports)
     return EXIT_OK
 
@@ -302,7 +300,6 @@ def run_synth(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -142,12 +142,13 @@ class TestBootstrapAnalysis:
         rep = run_small(walk_day(5), B=100, grid=MomentGrid.from_range())
         assert abs(rep.p1 - rep.p2) <= 0.1
 
-    def test_disagreement_is_logged_not_fatal(self, caplog):
+    def test_disagreement_is_returned_not_logged(self, caplog):
+        # the CLI prints the disagreement; the library only reports p1 and p2
         c = binomial_cascade(CascadeSpec(p=0.6, levels=8))
-        with caplog.at_level(logging.WARNING, logger="mfbox.bootstrap"):
+        with caplog.at_level(logging.DEBUG):
             rep = run_small(c, B=20, grid=MomentGrid.from_range())
         assert abs(rep.p1 - rep.p2) > 0.1
-        assert any("disagree" in r.message for r in caplog.records)
+        assert caplog.records == []
 
     def test_original_point_near_fitted_line(self):
         # exchangeable input: the original is one more draw from the cloud
@@ -335,8 +336,9 @@ class TestScoring:
 
 
 class TestWorkerCap:
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
-        # Checked with an in-process stand-in for the pool, so no process is started.
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """max_workers of every pool built; an in-process stand-in, so no process is started."""
         recorded = []
 
         class FakePool:
@@ -352,8 +354,13 @@ class TestWorkerCap:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(mfbox.bootstrap, "ProcessPoolExecutor", FakePool)
+        return recorded
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, recorded):
+        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         days = [analyze_series(walk_day(16, T=60), grid=SMALL_GRID)]
         cfg = BootstrapConfig(replicates=9, master_seed=4)
         [capped] = replicate_clouds(days, cfg, n_jobs=10_000)
@@ -361,6 +368,18 @@ class TestWorkerCap:
         [serial] = replicate_clouds(days, cfg, n_jobs=1)
         assert recorded == [2]
         assert np.array_equal(capped, serial)
+
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, recorded):
+        # a machine of 8 CPUs with this process pinned to one of them
+        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        days = [analyze_series(walk_day(17, T=60), grid=SMALL_GRID)]
+        cfg = BootstrapConfig(replicates=9, master_seed=4)
+        [pinned] = replicate_clouds(days, cfg, n_jobs=2)
+        assert recorded == []
+        [serial] = replicate_clouds(days, cfg, n_jobs=1)
+        assert np.array_equal(pinned, serial)
 
 
 class TestBatchSummary:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from mfbox.cli import main, write_series_csv
 from mfbox.ingest import PriceSeries, derive_box_scheme, parse_intraday_csv, segment_by_day
 from mfbox.partition import MomentGrid
 from mfbox.pipeline import analyze_series
-from mfbox.synth import constant_series, random_positive_series
+from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 
 def run(*argv):
@@ -146,10 +147,6 @@ class TestSerialization:
         assert set(d) == {"day", "delta_alpha", "F", "k", "b", "p1", "p2",
                           "significant_1", "significant_2"}
         assert_allclose([d["p1"], d["p2"]], [rep.p1, rep.p2], rtol=1e-11)
-        out, _ = shuffle_via_cli(tmp_path / "b", [day], 8, "--store-replicates")
-        d2 = json.loads((out / day.day_id / "shuffle_test.json").read_text())
-        assert len(d2["replicates"]) == 8
-        assert_allclose(d2["replicates"], rep.replicates, rtol=1e-11, atol=1e-13)
 
     def test_degenerate_kb_serialize_as_null(self, tmp_path):
         day = constant_series(60, 1.0, day_id="2001-01-02")
@@ -211,6 +208,38 @@ class TestShuffleTest:
         assert run("shuffle-test", "--outdir", str(outs[2]), "--workers", "2", *args) == 0
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
         assert tree_bytes(outs[0]) == tree_bytes(outs[2])
+
+    def cascade_days(self, path):
+        days = [PriceSeries(f"2000-01-0{3 + s}",
+                            binomial_cascade(CascadeSpec(p=0.6, levels=8), seed=s).values)
+                for s in range(3)]
+        write_series_csv(days, path)
+        return path
+
+    def disagreeing_run(self, tmp_path):
+        return run("shuffle-test", "--input", str(self.cascade_days(tmp_path / "in.csv")),
+                   "--outdir", str(tmp_path / "out"), "--bootstrap", "20", "--seed", "3",
+                   "--q-min", "-10", "--q-max", "10")
+
+    def test_p1_p2_disagreement_is_printed_in_day_order(self, tmp_path, capsys):
+        # the second day's p1 and p2 differ by exactly 0.1, which is not "more than 0.1"
+        assert self.disagreeing_run(tmp_path) == 0
+        assert capsys.readouterr().err == (
+            "mfbox.bootstrap: day 2000-01-03: p1 = 0.000 and p2 = 0.150 disagree by more than 0.1\n"
+            "mfbox.bootstrap: day 2000-01-05: p1 = 0.000 and p2 = 0.200 disagree by more than 0.1\n")
+
+    def test_main_leaves_the_root_logger_alone(self, tmp_path):
+        # a root logger with no handlers, as in a process that has not configured logging
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        root.handlers.clear()
+        root.setLevel(logging.ERROR)
+        try:
+            assert self.disagreeing_run(tmp_path) == 0
+            assert root.handlers == [] and root.level == logging.ERROR
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
 
 
 class TestBatchCommand:
@@ -324,6 +353,8 @@ class TestPerCommandOptions:
         ("analyze", ("--level", "0.5")),
         ("analyze", ("--bootstrap", "10")),
         ("analyze", ("--store-replicates",)),
+        ("shuffle-test", ("--store-replicates",)),
+        ("batch", ("--store-replicates",)),
     ])
     def test_options_the_command_does_not_use_are_rejected(self, walk_csv, tmp_path, command,
                                                            flags):

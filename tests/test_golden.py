@@ -20,7 +20,6 @@ import datetime
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 import platform
@@ -82,8 +81,8 @@ CASES = {
         ("analyze", "--export", "surface", *SMALL_GRID)),
     "batch-walk240": (
         lambda p: write_series_csv([walk(i, 240) for i in range(3)], p),
-        ("batch", "--export", "scatter,surface", "--store-replicates", "--bootstrap", "60",
-         "--seed", "7", *SMALL_GRID)),
+        ("batch", "--export", "scatter,surface", "--bootstrap", "60", "--seed", "7",
+         *SMALL_GRID)),
     "shuffle-cascade": (
         lambda p: cascades(p, 2),
         ("shuffle-test", "--bootstrap", "60", "--seed", "3", "--q-min", "-5", "--q-max", "5")),
@@ -110,24 +109,14 @@ def sha256(text: str) -> str:
 def fresh_process_streams():
     """Capture stdout and stderr as a fresh ``mfbox`` process would print them.
 
-    The CLI's ``logging.basicConfig`` only configures a root logger that has no
-    handlers, so a handler with its format goes on the root logger here, and
-    warnings are shown with the interpreter's default filters.
+    Warnings are shown with the interpreter's default filters.
     """
     out, err = io.StringIO(), io.StringIO()
-    root = logging.getLogger()
-    saved = root.handlers[:], root.level
-    handler = logging.StreamHandler(err)
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    root.handlers, root.level = [handler], logging.WARNING
-    try:
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            yield out, err
-    finally:
-        root.handlers, root.level = saved
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        yield out, err
 
 
 def run_case(name: str, workers: int, workdir: Path) -> dict:

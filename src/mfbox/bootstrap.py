@@ -105,13 +105,9 @@ def _replicate_block(
     k = max(1, min(n_q, T // n_l)), so the block's own arrays stay within n_q * T cells too.
     """
     grid, scheme, T = surface.grid, surface.scheme, series.length
-    if scheme.series_length != T:
-        raise ValueError(f"scheme is for length {scheme.series_length}, series has {T}")
+    scheme.check_length(T)
     q, i0, i1 = grid.q_values, grid.index_of(0.0), grid.index_of(1.0)
-    ln_counts = np.log(np.asarray(scheme.box_counts, dtype=np.float64))
-    ln_sizes = np.log(np.asarray(scheme.sizes, dtype=np.float64))
-    # The sizes increase, so those with 1 < l < T are one run of columns.
-    varying = slice(int(scheme.sizes[0] == 1), len(scheme.sizes) - int(scheme.sizes[-1] == T))
+    ln_counts, ln_sizes, varying = scheme.ln_counts, scheme.ln_sizes, scheme.varying
     k = max(1, min(q.size, T // len(scheme.sizes)))
     permuted, out = np.empty((k, T)), np.empty((len(indices), 2))
     for lo in range(0, len(indices), k):

@@ -32,7 +32,6 @@ from .bootstrap import (
     shuffle_report,
 )
 from .ingest import (
-    BoxScheme,
     IngestError,
     PriceSeries,
     derive_box_scheme,
@@ -164,13 +163,6 @@ def _load_days(cfg: RunConfig) -> list[PriceSeries]:
     return seg.days
 
 
-def _scheme_for(cfg: RunConfig, length: int) -> BoxScheme:
-    try:
-        return derive_box_scheme(length, override=list(cfg.boxes) if cfg.boxes else None)
-    except ValueError as exc:
-        raise ConfigError(f"box scheme invalid for day length {length}: {exc}") from exc
-
-
 def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
     day_dir = cfg.outdir / analysis.series.day_id
     surface, exponents, spectrum = analysis.surface, analysis.exponents, analysis.spectrum
@@ -237,7 +229,10 @@ def run_days(cfg: RunConfig) -> int:
     on stderr, in day order, each day whose p1 and p2 differ by more than 0.1.
     """
     days = _load_days(cfg)
-    scheme = _scheme_for(cfg, days[0].length) if days else None  # one length for all days
+    try:  # one length for all days
+        scheme = derive_box_scheme(days[0].length, override=cfg.boxes) if days else None
+    except ValueError as exc:
+        raise ConfigError(f"box scheme invalid for day length {days[0].length}: {exc}") from exc
     tested = []  # the analysis of each day to shuffle-test
     for day in days:
         analysis = analyze_series(day, scheme, cfg.grid)
@@ -250,7 +245,7 @@ def run_days(cfg: RunConfig) -> int:
         reports = [shuffle_report(day, cloud, cfg.shuffle) for day, cloud in zip(tested, clouds)]
         for r in reports:
             if abs(r.p1 - r.p2) > 0.1:
-                print(f"mfbox.bootstrap: day {r.day_id}: p1 = {r.p1:.3f} and p2 = {r.p2:.3f} "
+                print(f"mfbox: day {r.day_id}: p1 = {r.p1:.3f} and p2 = {r.p2:.3f} "
                       "disagree by more than 0.1", file=sys.stderr)
         _write_bootstrap_artifacts(cfg, reports)
     return EXIT_OK

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-# Preset box-size lists for the common intraday session lengths. The
-# T=240 and T=390 lists deliberately omit a few divisors (5, 8, ... for
-# 240; 6, 65 for 390); pass an explicit override to use different sizes.
+# Preset box-size lists for the common intraday session lengths. They
+# deliberately omit a few divisors (5, 8, ... for 240; 6, 65 for 390);
+# every other length uses all its divisors.
 PRESET_BOX_SIZES: dict[int, tuple[int, ...]] = {
     240: (1, 2, 3, 4, 6, 10, 15, 20, 30, 40, 60, 80, 120, 240),
-    405: (1, 3, 5, 9, 15, 27, 45, 81, 135, 405),
     390: (1, 2, 3, 5, 10, 13, 15, 26, 30, 39, 78, 130, 195, 390),
 }
 
@@ -114,6 +113,25 @@ class BoxScheme:
     def box_counts(self) -> tuple[int, ...]:
         return tuple(self.series_length // s for s in self.sizes)
 
+    @property
+    def ln_sizes(self) -> np.ndarray:
+        return np.log(np.asarray(self.sizes, dtype=np.float64))
+
+    @property
+    def ln_counts(self) -> np.ndarray:
+        return np.log(np.asarray(self.box_counts, dtype=np.float64))
+
+    @property
+    def varying(self) -> slice:
+        """The run of columns 1 < l < T, the only ones a permutation changes; never empty."""
+        sizes = self.sizes
+        return slice(int(sizes[0] == 1), len(sizes) - int(sizes[-1] == self.series_length))
+
+    def check_length(self, T: int) -> None:
+        """Raise ValueError unless this scheme is for a series of length ``T``."""
+        if self.series_length != T:
+            raise ValueError(f"scheme is for length {self.series_length}, series has {T}")
+
 
 @dataclass(frozen=True)
 class DroppedDay:
@@ -139,9 +157,9 @@ def parse_intraday_csv(
     """Read a header-ed CSV of minute bars into columns, in file order.
 
     No filtering happens here: non-finite prices are carried through and
-    handled by :func:`segment_by_day`. Raises :class:`IngestError` for an
-    unreadable file or a missing or repeated column, :class:`MalformedRowError`
-    (naming the file line, blank lines counted) for rows that do not parse.
+    handled by :func:`segment_by_day`. Raises :class:`IngestError` for an unreadable or
+    non-UTF-8 file, a field over the csv size limit or a missing or repeated column, and
+    :class:`MalformedRowError` (naming the file line, blank lines counted) for bad rows.
 
     Equal date and time cells share one ``str``, and prices are packed as
     they are read, so the columns hold no Python object per row.
@@ -156,30 +174,36 @@ def parse_intraday_csv(
     shared: dict[str, str] = {}
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None:  # an empty file gives zero rows
-            wanted = (date_col, time_col, price_col)
-            missing = [c for c in wanted if c not in header]
-            if missing:
-                raise IngestError(f"{path}: missing column(s) {missing}; header is {header}")
-            repeated = [c for c in wanted if header.count(c) > 1]
-            if repeated:
-                raise IngestError(f"{path}: repeated column(s) {repeated}; header is {header}")
-            di, ti, pi = (header.index(c) for c in wanted)
-            width = max(di, ti, pi) + 1
-            for row in reader:
-                if not row:
-                    continue  # a blank line
-                if len(row) < width:
-                    raise MalformedRowError(f"{path}: row {reader.line_num} is short a field")
-                try:
-                    prices.append(float(row[pi]))
-                except ValueError as exc:
-                    raise MalformedRowError(
-                        f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
-                    ) from exc
-                dates.append(shared.setdefault(row[di], row[di]))
-                times.append(shared.setdefault(row[ti], row[ti]))
+        try:
+            header = next(reader, None)
+            if header is not None:  # an empty file gives zero rows
+                wanted = (date_col, time_col, price_col)
+                missing = [c for c in wanted if c not in header]
+                if missing:
+                    raise IngestError(f"{path}: missing column(s) {missing}; header is {header}")
+                repeated = [c for c in wanted if header.count(c) > 1]
+                if repeated:
+                    raise IngestError(f"{path}: repeated column(s) {repeated}; header is {header}")
+                di, ti, pi = (header.index(c) for c in wanted)
+                width = max(di, ti, pi) + 1
+                for row in reader:
+                    if not row:
+                        continue  # a blank line
+                    if len(row) < width:
+                        raise MalformedRowError(f"{path}: row {reader.line_num} is short a field")
+                    try:
+                        prices.append(float(row[pi]))
+                    except ValueError as exc:
+                        raise MalformedRowError(
+                            f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
+                        ) from exc
+                    dates.append(shared.setdefault(row[di], row[di]))
+                    times.append(shared.setdefault(row[ti], row[ti]))
+        except csv.Error as exc:
+            raise IngestError(f"{path}: row {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no row can be named
+            bad = exc.object[exc.start]
+            raise IngestError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
     return MinuteBars(dates, times, np.array(prices, dtype=np.float64))
 
 
@@ -228,30 +252,14 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     return DaySegmentation(days=days, dropped=dropped)
 
 
-def _divisors(T: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= T:
-        if T % d == 0:
-            small.append(d)
-            if d != T // d:
-                large.append(T // d)
-        d += 1
-    return small + large[::-1]
-
-
 def derive_box_scheme(T: int, override: list[int] | None = None) -> BoxScheme:
     """Box sizes for a series of length T.
 
-    Uses the preset list for T in {240, 405, 390}, otherwise every divisor
-    of T in increasing order. An explicit ``override`` list is sorted,
+    Uses the preset list for T in {240, 390}, otherwise every divisor of T
+    in increasing order. An explicit ``override`` list is sorted,
     deduplicated, and validated against the divisor invariant.
     """
     T = int(T)
-    if override is not None:
-        sizes = tuple(sorted(set(int(s) for s in override)))
-        return BoxScheme(sizes=sizes, series_length=T)
-    preset = PRESET_BOX_SIZES.get(T)
-    if preset is not None:
-        return BoxScheme(sizes=preset, series_length=T)
-    return BoxScheme(sizes=tuple(_divisors(T)), series_length=T)
+    sizes = override if override is not None else (
+        PRESET_BOX_SIZES.get(T) or [d for d in range(1, T + 1) if T % d == 0])
+    return BoxScheme(sizes=tuple(sorted(set(int(s) for s in sizes))), series_length=T)

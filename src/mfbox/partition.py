@@ -47,6 +47,9 @@ class MomentGrid:
         exactly through 0 and 1, otherwise the normalization rows of the
         partition surface would land between grid points.
         """
+        if not np.all(np.isfinite([q_min, q_max, q_step])):
+            raise ValueError(f"q_min, q_max and q_step must be finite, "
+                             f"got {q_min}, {q_max}, {q_step}")
         if not (q_min < 0.0 < 1.0 < q_max):
             raise ValueError(f"need q_min < 0 < 1 < q_max, got [{q_min}, {q_max}]")
         if q_step <= 0.0:
@@ -87,7 +90,7 @@ class PartitionSurface:
         if self.log_chi.shape != (nq, nl):
             raise ValueError(f"log_chi shape {self.log_chi.shape} != (n_q, n_l) = {(nq, nl)}")
         check_log_chi(self.log_chi, self.grid.index_of(0.0), self.grid.index_of(1.0),
-                      np.log(np.asarray(self.scheme.box_counts, dtype=np.float64)))
+                      self.scheme.ln_counts)
 
 
 def check_log_chi(log_chi: np.ndarray, i0: int, i1: int, ln_counts: np.ndarray) -> None:
@@ -145,10 +148,7 @@ def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) 
     Each (q, l) cell depends only on its own box measure, so evaluation
     order is irrelevant; results are deterministic for identical inputs.
     """
-    if scheme.series_length != series.length:
-        raise ValueError(
-            f"scheme is for length {scheme.series_length}, series has {series.length}"
-        )
+    scheme.check_length(series.length)
     log_chi = np.empty((grid.size, len(scheme.sizes)))
     log_chi_columns(series.values[None], scheme.sizes, grid.q_values, log_chi[None])
     return PartitionSurface(grid=grid, scheme=scheme, log_chi=log_chi)

@@ -79,8 +79,7 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     l = T. When a row of ln chi is exactly collinear (zero residual), the
     correlation is pinned to sign(slope) so perfect fits report +-1.
     """
-    sizes = np.asarray(surface.scheme.sizes, dtype=np.float64)
-    x, grid = np.log(sizes), surface.grid
+    x, grid = surface.scheme.ln_sizes, surface.grid
     tau = fit_tau(surface.log_chi, x, grid.index_of(0.0), grid.index_of(1.0))
 
     xc = x - x.mean()
@@ -96,7 +95,7 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     ssr = syy - tau ** 2 * sxx
     collinear = ssr <= 1e-14 * syy
     r[collinear] = np.sign(tau[collinear])
-    flat = syy <= sizes.size * 1e-24
+    flat = syy <= x.size * 1e-24
     r[flat] = 0.0
     r = np.clip(r, -1.0, 1.0)
 

@@ -24,6 +24,7 @@ from mfbox.scaling import _ols
 from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 SMALL_GRID = MomentGrid.from_range(-8, 8, 1.0)
+Q10 = MomentGrid.from_range(-10, 10, 1.0)
 
 
 def walk_day(seed=0, T=240):
@@ -159,29 +160,40 @@ class TestBootstrapAnalysis:
         assert abs(rep.f_mid - (rep.k * rep.delta_alpha + rep.b)) <= 3 * sd
 
 
-def block_size(day, grid):
+def block_size(scheme, grid):
     """Replicates per block: as many as fit in the n_q * T cells of the day's l = 1 column."""
-    return max(1, min(grid.size, day.length // len(derive_box_scheme(day.length).sizes)))
+    return max(1, min(grid.size, scheme.series_length // len(scheme.sizes)))
+
+
+def replicate_case(day, grid, override=None):
+    return day, derive_box_scheme(day.length, override), grid
 
 
 class TestReplicatePath:
     """Replicates skip the permutation-invariant work but not the full chain's result or guards."""
 
     CASES = {
-        "walk240": (walk_day(12), MomentGrid.from_range()),
-        "cascade4096": (binomial_cascade(CascadeSpec(p=0.6, levels=12)), MomentGrid.from_range(-5, 5, 1.0)),
-        "divisors96": (random_positive_series(96, "iid-lognormal", seed=3, sigma=0.3), SMALL_GRID),
-        "square49": (walk_day(13, T=49), SMALL_GRID),  # sizes (1, 7, 49): one varying column
+        "walk240": replicate_case(walk_day(12), MomentGrid.from_range()),
+        "cascade4096": replicate_case(binomial_cascade(CascadeSpec(p=0.6, levels=12)),
+                                      MomentGrid.from_range(-5, 5, 1.0)),
+        "divisors96": replicate_case(random_positive_series(96, "iid-lognormal", seed=3, sigma=0.3),
+                                     SMALL_GRID),
+        # sizes (1, 7, 49): one varying column
+        "square49": replicate_case(walk_day(13, T=49), SMALL_GRID),
+        # Override schemes without l = 1, l = T or both: the first or the last column
+        # then changes under permutation too.
+        "walk240-no-1": replicate_case(walk_day(12), Q10, [2, 4, 8, 240]),
+        "walk240-no-T": replicate_case(walk_day(12), Q10, [1, 2, 4, 120]),
+        "walk240-no-ends": replicate_case(walk_day(12), Q10, [2, 4, 120]),
     }
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("blocks", ["1", "k", "k+1", "3k+2"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cloud_rows_equal_full_chain(self, case, blocks, n_jobs):
-        day, grid = self.CASES[case]
-        k = block_size(day, grid)
+        day, scheme, grid = self.CASES[case]
+        k = block_size(scheme, grid)
         B = {"1": 1, "k": k, "k+1": k + 1, "3k+2": 3 * k + 2}[blocks]
-        scheme = derive_box_scheme(day.length)
         [cloud] = replicate_clouds([analyze_series(day, scheme, grid)],
                                    BootstrapConfig(replicates=B, master_seed=3), n_jobs=n_jobs)
         assert cloud.shape == (B, 2)
@@ -205,12 +217,12 @@ class TestReplicatePath:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_invariant_columns_come_from_the_day_surface(self, case, monkeypatch):
-        day, grid = self.CASES[case]
-        analysis = analyze_series(day, grid=grid)
+        day, scheme, grid = self.CASES[case]
+        analysis = analyze_series(day, scheme, grid)
         sizes = self._record_box_sizes(monkeypatch)
         replicate_clouds([analysis], BootstrapConfig(replicates=5, master_seed=3), n_jobs=1)
         # only 1 < l < T is summed per replicate
-        assert set(sizes) == {l for l in analysis.surface.scheme.sizes if 1 < l < day.length}
+        assert set(sizes) == {l for l in scheme.sizes if 1 < l < day.length}
 
     def test_prime_length_is_rejected(self):
         # (1, 241) has no column a permutation can change, so its test could see nothing
@@ -223,7 +235,7 @@ class TestReplicatePath:
     WALK, GRID, CFG = walk_day(14), MomentGrid.from_range(), BootstrapConfig(replicates=5, master_seed=1)
 
     def _run_walk(self):
-        assert self.CFG.replicates < block_size(self.WALK, self.GRID)
+        assert self.CFG.replicates < block_size(derive_box_scheme(self.WALK.length), self.GRID)
         return replicate_clouds([analyze_series(self.WALK, grid=self.GRID)], self.CFG, n_jobs=1)
 
     def _replicate(self, i):
@@ -303,8 +315,8 @@ class TestReplicateMemory:
     """A block holds at most n_q * T cells per array, so memory does not grow with B."""
 
     def _block_peak(self, case, B):
-        day, grid = TestReplicatePath.CASES[case]
-        surface = analyze_series(day, grid=grid).surface
+        day, scheme, grid = TestReplicatePath.CASES[case]
+        surface = analyze_series(day, scheme, grid).surface
         return traced_peak(lambda: mfbox.bootstrap._replicate_block(day, surface, 1, np.arange(B)))
 
     def test_peak_does_not_grow_with_the_replicate_count(self):
@@ -312,8 +324,7 @@ class TestReplicateMemory:
 
     @pytest.mark.parametrize("case", ["walk240", "cascade4096"])
     def test_peak_is_within_three_day_analyses(self, case):
-        day, grid = TestReplicatePath.CASES[case]
-        scheme = derive_box_scheme(day.length)
+        day, scheme, grid = TestReplicatePath.CASES[case]
         assert self._block_peak(case, 400) <= 3 * traced_peak(lambda: analyze_series(day, scheme, grid))
 
 

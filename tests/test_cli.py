@@ -225,8 +225,8 @@ class TestShuffleTest:
         # the second day's p1 and p2 differ by exactly 0.1, which is not "more than 0.1"
         assert self.disagreeing_run(tmp_path) == 0
         assert capsys.readouterr().err == (
-            "mfbox.bootstrap: day 2000-01-03: p1 = 0.000 and p2 = 0.150 disagree by more than 0.1\n"
-            "mfbox.bootstrap: day 2000-01-05: p1 = 0.000 and p2 = 0.200 disagree by more than 0.1\n")
+            "mfbox: day 2000-01-03: p1 = 0.000 and p2 = 0.150 disagree by more than 0.1\n"
+            "mfbox: day 2000-01-05: p1 = 0.000 and p2 = 0.200 disagree by more than 0.1\n")
 
     def test_main_leaves_the_root_logger_alone(self, tmp_path):
         # a root logger with no handlers, as in a process that has not configured logging
@@ -289,6 +289,27 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("date,time,price\n2001-01-01,09:31,oops\n")
         assert run("analyze", "--input", str(bad), "--outdir", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("content, message", [
+        (b"date,time,price\n2001-01-02,09:30," + b"1" * 200_000 + b"\n",
+         "row 2: field larger than field limit (131072)"),
+        (b"date,time,price\n2001-01-02,09:30,1.0\xff\n",
+         "not UTF-8 text (byte 0xff: invalid start byte)"),
+    ], ids=["over-long-field", "non-utf8"])
+    def test_unreadable_input_is_one_line_ingest_error(self, tmp_path, content, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        proc = cli_process("analyze", "--input", str(path), "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr == f"mfbox: ingestion error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--q-max=inf", "--q-min=-inf", "--q-step=inf", "--q-step=nan"])
+    def test_non_finite_q_bound_is_one_line_config_error(self, walk_csv, tmp_path, flag):
+        proc = cli_process("batch", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"), flag)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "mfbox: configuration error: q_min, q_max and q_step must be finite, got ")
+        assert proc.stderr.count("\n") == 1
 
     def test_bad_q_grid_is_config_error(self, walk_csv, tmp_path):
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),

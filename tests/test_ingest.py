@@ -81,6 +81,23 @@ class TestParseCsv:
         with pytest.raises(MalformedRowError, match="row 3"):
             parse_intraday_csv(path)
 
+    def test_over_long_field_is_ingest_error(self, tmp_path):
+        # the csv module's field limit is 131,072 characters
+        path = write_csv(tmp_path / "d.csv",
+                         ["2001-11-26,09:31,1.0", "2001-11-26,09:32," + "1" * 200_000])
+        with pytest.raises(IngestError) as info:
+            parse_intraday_csv(path)
+        assert str(info.value) == f"{path}: row 3: field larger than field limit (131072)"
+        assert isinstance(info.value.__cause__, csv.Error)
+
+    def test_non_utf8_byte_is_ingest_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"date,time,price\n2001-11-26,09:31,1.0\xff\n")
+        with pytest.raises(IngestError) as info:
+            parse_intraday_csv(path)
+        # decoding runs ahead of the csv reader, so the message names no row
+        assert str(info.value) == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+
     def test_custom_column_names(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,7.5"], header="d,t,px")
         bars = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")

@@ -45,6 +45,13 @@ class TestMomentGrid:
         with pytest.raises(ValueError):
             MomentGrid.from_range(-120, 120, step)
 
+    @pytest.mark.parametrize("bounds", [(-120, math.inf, 1), (-math.inf, 120, 1),
+                                        (-120, 120, math.inf), (-120, 120, math.nan)],
+                             ids=["q_max-inf", "q_min-inf", "q_step-inf", "q_step-nan"])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="^q_min, q_max and q_step must be finite, got "):
+            MomentGrid.from_range(*bounds)
+
     def test_range_must_straddle(self):
         with pytest.raises(ValueError):
             MomentGrid.from_range(0, 120, 1)

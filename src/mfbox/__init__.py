@@ -3,7 +3,6 @@
 from .bootstrap import (
     BootstrapConfig,
     BootstrapReport,
-    batch_summary,
     bootstrap_analysis,
     replicate_clouds,
     shuffle_report,
@@ -39,7 +38,6 @@ __all__ = [
     "PriceSeries",
     "analytic_binomial_tau",
     "analyze_series",
-    "batch_summary",
     "binomial_cascade",
     "bootstrap_analysis",
     "constant_series",

@@ -18,7 +18,6 @@ regardless of how replicates are scheduled across workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +36,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class BootstrapConfig:
     replicates: int = 1000
     master_seed: int = 0
-    significance_level: float = 0.05
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError(f"replicate count must be >= 1, got {self.replicates}")
-        if not (0.0 < self.significance_level < 1.0):
-            raise ValueError(f"significance level must be in (0, 1), got {self.significance_level}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +48,8 @@ class BootstrapReport:
 
     ``replicates`` is a (B, 2) array of (delta_alpha_rnd, F_rnd) rows in
     replicate order. ``k``/``b`` are None when the cloud is degenerate
-    (all replicate widths identical, so no line can be fitted).
+    (all replicate widths identical, so no line can be fitted). The report
+    holds no verdict: comparing p1 and p2 with a level is left to the caller.
     """
 
     day_id: str
@@ -63,8 +60,6 @@ class BootstrapReport:
     b: float | None
     p1: float
     p2: float
-    significant_1: bool
-    significant_2: bool
 
 
 def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
@@ -141,6 +136,8 @@ def replicate_clouds(
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
     tasks = [(day.series, day.surface, cfg.master_seed, block) for day in days for block in blocks]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replicate_block, *zip(*tasks)))
     else:
@@ -149,7 +146,7 @@ def replicate_clouds(
     return [np.concatenate(results[lo:lo + n]) for lo in range(0, len(results), n)]
 
 
-def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfig) -> BootstrapReport:
+def shuffle_report(day: DayAnalysis, replicates: np.ndarray) -> BootstrapReport:
     """Score an analysed day's spectrum against its (B, 2) replicate cloud, B >= 1."""
     day_id, spectrum, B = day.series.day_id, day.spectrum, len(replicates)
     if B == 0:
@@ -161,8 +158,6 @@ def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfi
 
     p1 = float(np.count_nonzero(spectrum.delta_alpha <= replicates[:, 0])) / B
     p2 = float(np.count_nonzero(spectrum.f_mid >= replicates[:, 1])) / B
-
-    level = cfg.significance_level
     return BootstrapReport(
         day_id=day_id,
         delta_alpha=spectrum.delta_alpha,
@@ -172,8 +167,6 @@ def shuffle_report(day: DayAnalysis, replicates: np.ndarray, cfg: BootstrapConfi
         b=b,
         p1=p1,
         p2=p2,
-        significant_1=p1 <= level,
-        significant_2=p2 <= level,
     )
 
 
@@ -191,27 +184,4 @@ def bootstrap_analysis(
     """
     day = analyze_series(series, scheme, grid)
     [cloud] = replicate_clouds([day], cfg, n_jobs)
-    return shuffle_report(day, cloud, cfg)
-
-
-@dataclass(frozen=True)
-class BatchSummary:
-    """Share of days whose p-values clear the significance level."""
-
-    level: float
-    pct_p1_significant: float
-    pct_p2_significant: float
-    per_day: list[BootstrapReport]
-
-
-def batch_summary(reports: list[BootstrapReport], level: float) -> BatchSummary:
-    """Fractions of days with p1 <= level and p2 <= level, plus the table."""
-    if not reports:
-        raise ValueError("batch summary needs at least one report")
-    n = len(reports)
-    return BatchSummary(
-        level=level,
-        pct_p1_significant=sum(r.p1 <= level for r in reports) / n,
-        pct_p2_significant=sum(r.p2 <= level for r in reports) / n,
-        per_day=list(reports),
-    )
+    return shuffle_report(day, cloud)

@@ -8,11 +8,13 @@ Subcommands:
 
 Only shuffle-test and batch take --bootstrap and --level, and --export takes
 only the tables the command writes; analyze accepts but ignores --seed and
---workers. The parser owns every default, and MomentGrid and BootstrapConfig
-own the range checks.
+--workers. The parser owns every default; MomentGrid and BootstrapConfig own
+the range checks of the q grid and the replicate count. This module alone
+knows the significance level: it checks --level and turns p1 and p2 into the
+significant_* flags and the batch fractions it writes.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
-4 numeric failure.
+4 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._text import atomic_write_text, round_for_json, write_csv, write_json
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapReport,
-    batch_summary,
-    replicate_clouds,
-    shuffle_report,
-)
+from .bootstrap import BootstrapConfig, BootstrapReport, replicate_clouds, shuffle_report
 from .ingest import (
     IngestError,
     PriceSeries,
@@ -57,7 +53,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One analyze/shuffle-test/batch run; ``shuffle`` is None for analyze."""
+    """One analyze/shuffle-test/batch run; ``shuffle`` and ``level`` are None for analyze."""
 
     command: str
     input: Path
@@ -65,6 +61,7 @@ class RunConfig:
     grid: MomentGrid
     boxes: tuple[int, ...] | None
     shuffle: BootstrapConfig | None
+    level: float | None
     date_col: str
     time_col: str
     price_col: str
@@ -140,12 +137,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     try:
         grid = MomentGrid.from_range(args.q_min, args.q_max, args.q_step)
         shuffle = None if args.command == "analyze" else BootstrapConfig(
-            replicates=args.bootstrap, master_seed=args.seed, significance_level=args.level)
+            replicates=args.bootstrap, master_seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    level = None if shuffle is None else args.level
+    if level is not None and not 0.0 < level < 1.0:
+        raise ConfigError(f"significance level must be in (0, 1), got {level}")
     return RunConfig(
         command=args.command, input=Path(args.input), outdir=Path(args.outdir), grid=grid,
-        boxes=_parse_boxes(args.boxes), shuffle=shuffle, date_col=args.date_col,
+        boxes=_parse_boxes(args.boxes), shuffle=shuffle, level=level, date_col=args.date_col,
         time_col=args.time_col, price_col=args.price_col, export=export, workers=args.workers,
     )
 
@@ -186,7 +186,7 @@ def _write_analysis_artifacts(cfg: RunConfig, analysis: DayAnalysis) -> None:
     )
 
 
-def _report_dict(report: BootstrapReport) -> dict:
+def _report_dict(report: BootstrapReport, level: float) -> dict:
     return {
         "day": report.day_id,
         "delta_alpha": round_for_json(report.delta_alpha),
@@ -195,27 +195,30 @@ def _report_dict(report: BootstrapReport) -> dict:
         "b": round_for_json(report.b),
         "p1": round_for_json(report.p1),
         "p2": round_for_json(report.p2),
-        "significant_1": report.significant_1,
-        "significant_2": report.significant_2,
+        "significant_1": report.p1 <= level,
+        "significant_2": report.p2 <= level,
     }
 
 
 def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -> None:
-    for report in reports:
+    """Per-day shuffle_test.json (and scatter.csv), then batch_summary.json for batch
+    or several days: the shares of days whose p1 and p2 are at most the level."""
+    rows = [_report_dict(report, cfg.level) for report in reports]
+    for report, row in zip(reports, rows):
         day_dir = cfg.outdir / report.day_id
-        write_json(day_dir / "shuffle_test.json", _report_dict(report))
+        write_json(day_dir / "shuffle_test.json", row)
         if "scatter" in cfg.export:
             write_csv(day_dir / "scatter.csv", ("delta_alpha_rnd", "F_rnd"), (report.replicates,))
-    if len(reports) > 1 or cfg.command == "batch":
-        summary = batch_summary(reports, cfg.shuffle.significance_level)
+    if len(rows) > 1 or cfg.command == "batch":
+        n = len(rows)
         write_json(
             cfg.outdir / "batch_summary.json",
             {
-                "level": round_for_json(summary.level),
-                "n_days": len(summary.per_day),
-                "pct_p1_significant": round_for_json(summary.pct_p1_significant),
-                "pct_p2_significant": round_for_json(summary.pct_p2_significant),
-                "days": [_report_dict(r) for r in summary.per_day],
+                "level": round_for_json(cfg.level),
+                "n_days": n,
+                "pct_p1_significant": round_for_json(sum(r["significant_1"] for r in rows) / n),
+                "pct_p2_significant": round_for_json(sum(r["significant_2"] for r in rows) / n),
+                "days": rows,
             },
         )
 
@@ -242,7 +245,7 @@ def run_days(cfg: RunConfig) -> int:
             tested.append(analysis)
     if tested:
         clouds = replicate_clouds(tested, cfg.shuffle, cfg.workers)
-        reports = [shuffle_report(day, cloud, cfg.shuffle) for day, cloud in zip(tested, clouds)]
+        reports = [shuffle_report(day, cloud) for day, cloud in zip(tested, clouds)]
         for r in reports:
             if abs(r.p1 - r.p2) > 0.1:
                 print(f"mfbox: day {r.day_id}: p1 = {r.p1:.3f} and p2 = {r.p2:.3f} "
@@ -315,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INGEST
     except (ValueError, ArithmeticError) as exc:
         print(f"mfbox: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # e.g. a q grid too wide for the (n_q, N) arrays
+        print(f"mfbox: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,7 @@ TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 PUBLIC = {
     "BootstrapConfig", "BootstrapReport", "BoxScheme", "CascadeSpec", "DayAnalysis",
     "IngestError", "MomentGrid", "PriceSeries", "analytic_binomial_tau", "analyze_series",
-    "batch_summary", "binomial_cascade", "bootstrap_analysis", "constant_series",
+    "binomial_cascade", "bootstrap_analysis", "constant_series",
     "derive_box_scheme", "parse_intraday_csv", "random_positive_series", "replicate_clouds",
     "segment_by_day", "shuffle_report",
 }
@@ -106,3 +107,16 @@ def test_only_the_cli_formats_artifacts():
         assert not any(n == "io" or n.startswith("io.") for n in names), path.name
         if path.stem != "cli":
             assert "mfbox._text" not in names, path.name
+
+
+def test_shuffle_results_hold_facts_only():
+    # The verdict (p <= level) and the level itself belong to the CLI.
+    report = [f.name for f in dataclasses.fields(mfbox.BootstrapReport)]
+    assert report == ["day_id", "delta_alpha", "f_mid", "replicates", "k", "b", "p1", "p2"]
+    assert [f.name for f in dataclasses.fields(mfbox.BootstrapConfig)] == ["replicates",
+                                                                           "master_seed"]
+    for path in sorted(Path(mfbox.__file__).parent.glob("*.py")):
+        names = {getattr(node, attr) for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 for attr in ("id", "attr", "arg") if isinstance(getattr(node, attr, None), str)}
+        if path.stem != "cli":
+            assert not {n for n in names if n == "level" or "signific" in n}, path.name

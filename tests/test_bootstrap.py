@@ -1,6 +1,11 @@
+import concurrent.futures
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,6 @@ import mfbox.bootstrap
 import mfbox.partition
 from mfbox.bootstrap import (
     BootstrapConfig,
-    batch_summary,
     bootstrap_analysis,
     derive_replicate_seed,
     permuted_values,
@@ -100,8 +104,6 @@ class TestBootstrapAnalysis:
         p2 = np.count_nonzero(rep.f_mid >= rep.replicates[:, 1]) / 25
         assert rep.p1 == p1 and rep.p2 == p2
         assert round(rep.p1 * 25) == pytest.approx(rep.p1 * 25)
-        assert rep.significant_1 == (rep.p1 <= 0.05)
-        assert rep.significant_2 == (rep.p2 <= 0.05)
 
     def test_p1_is_one_iff_every_replicate_at_least_as_wide(self):
         rep = run_small(walk_day(3, T=60), B=20)
@@ -336,14 +338,13 @@ class TestScoring:
         offsets = np.arange(10.0) - 6.5
         cloud = np.column_stack([spectrum.delta_alpha + 1e-3 * offsets,
                                  spectrum.f_mid + 1e-3 * (offsets + 1.0)])
-        rep = shuffle_report(analysis, cloud, BootstrapConfig(replicates=1000))
+        rep = shuffle_report(analysis, cloud)
         assert (rep.p1, rep.p2) == (0.3, 0.6)
-        assert not rep.significant_1 and not rep.significant_2
 
     def test_empty_cloud_rejected(self):
         analysis = analyze_series(walk_day(15, T=60), grid=SMALL_GRID)
         with pytest.raises(ValueError, match="empty replicate cloud"):
-            shuffle_report(analysis, np.empty((0, 2)), BootstrapConfig(replicates=10))
+            shuffle_report(analysis, np.empty((0, 2)))
 
 
 class TestWorkerCap:
@@ -365,7 +366,7 @@ class TestWorkerCap:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(mfbox.bootstrap, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return recorded
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, recorded):
@@ -392,29 +393,23 @@ class TestWorkerCap:
         [serial] = replicate_clouds(days, cfg, n_jobs=1)
         assert np.array_equal(pinned, serial)
 
-
-class TestBatchSummary:
-    def test_fractions(self):
-        reports = [run_small(walk_day(s, T=60), B=20) for s in range(4)]
-        summary = batch_summary(reports, level=0.05)
-        assert summary.pct_p1_significant == sum(r.p1 <= 0.05 for r in reports) / 4
-        assert summary.pct_p2_significant == sum(r.p2 <= 0.05 for r in reports) / 4
-        assert len(summary.per_day) == 4
-
-    def test_all_insignificant_gives_zero(self):
-        reports = [run_small(constant_series(60, 1.0), B=5)]
-        assert batch_summary(reports, 0.05).pct_p1_significant == 0.0
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            batch_summary([], 0.05)
+    def test_serial_runs_do_not_load_the_process_pool(self):
+        # a fresh interpreter, since this one may have imported the pool already
+        code = ("import sys\n"
+                "import mfbox\n"
+                "day = mfbox.random_positive_series(60, 'intraday-walk', seed=1)\n"
+                "grid = mfbox.MomentGrid.from_range(-4, 4, 1.0)\n"
+                "mfbox.analyze_series(day, grid=grid)\n"
+                "mfbox.bootstrap_analysis(day, mfbox.derive_box_scheme(60), grid,\n"
+                "                         mfbox.BootstrapConfig(replicates=5), n_jobs=1)\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "False\n"
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replicate count must be >= 1, got 0"):
             BootstrapConfig(replicates=0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(significance_level=0.0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(significance_level=1.0)

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mfbox
+import mfbox.cli
 from mfbox.bootstrap import BootstrapConfig, bootstrap_analysis
 from mfbox.cli import main, write_series_csv
 from mfbox.ingest import PriceSeries, derive_box_scheme, parse_intraday_csv, segment_by_day
@@ -173,6 +174,49 @@ class TestSerialization:
         assert_allclose([d["p1"] for d in loaded["days"]], [r.p1 for r in reports], rtol=1e-11)
 
 
+class TestVerdict:
+    """The CLI alone compares p1 and p2 with --level, per day and over the batch."""
+
+    DAYS = (0, 1, 2, 4)  # p1 = p2 = 0, 0.1, 0 and 1 at B = 20, seed 99
+
+    def summary(self, tmp_path, *flags):
+        out, reports = shuffle_via_cli(tmp_path, [walk_day(s) for s in self.DAYS], 20, *flags)
+        return json.loads((out / "batch_summary.json").read_text()), reports
+
+    def check(self, summary, reports, level):
+        n = len(reports)
+        assert summary["level"] == level and summary["n_days"] == n
+        assert summary["pct_p1_significant"] == sum(r.p1 <= level for r in reports) / n
+        assert summary["pct_p2_significant"] == sum(r.p2 <= level for r in reports) / n
+        assert [(d["significant_1"], d["significant_2"]) for d in summary["days"]] == [
+            (r.p1 <= level, r.p2 <= level) for r in reports]
+
+    def test_fractions_are_the_share_of_days_at_most_the_level(self, tmp_path):
+        summary, reports = self.summary(tmp_path)
+        self.check(summary, reports, 0.05)
+        assert summary["pct_p1_significant"] == 0.5
+
+    def test_a_non_default_level_reaches_every_verdict(self, tmp_path):
+        summary, reports = self.summary(tmp_path, "--level", "0.5")
+        self.check(summary, reports, 0.5)
+        assert summary["pct_p1_significant"] == summary["pct_p2_significant"] == 0.75
+        day = json.loads((tmp_path / "out" / reports[1].day_id / "shuffle_test.json").read_text())
+        assert reports[1].p1 == 0.1 and day["significant_1"] and day["significant_2"]
+
+    def test_constant_days_give_zero(self, tmp_path):
+        days = [constant_series(60, 1.0 + s, day_id=f"2001-01-0{2 + s}") for s in range(2)]
+        out, reports = shuffle_via_cli(tmp_path, days, 5)
+        summary = json.loads((out / "batch_summary.json").read_text())
+        self.check(summary, reports, 0.05)
+        assert summary["pct_p1_significant"] == summary["pct_p2_significant"] == 0.0
+
+    def test_no_usable_day_writes_no_summary(self, tmp_path):
+        empty, out = tmp_path / "empty.csv", tmp_path / "out"
+        empty.write_text("date,time,price\n")
+        assert run("batch", "--input", str(empty), "--outdir", str(out)) == 0
+        assert not (out / "batch_summary.json").exists()
+
+
 class TestRoundTrip:
     def test_reingested_csv_reproduces_analysis(self, tmp_path):
         day = random_positive_series(120, "iid-lognormal", seed=9, sigma=0.3, day_id="2001-01-05")
@@ -330,6 +374,21 @@ class TestExitCodes:
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
                    "--export", item) == 2
         assert "choose from ('surface',)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 17.9 GiB for an array with shape (10000001, 240)"),
+         "mfbox: out of memory: Unable to allocate 17.9 GiB for an array with shape "
+         "(10000001, 240)\n"),
+        (MemoryError(), "mfbox: out of memory: allocation failed\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_one_line_exit_4(self, walk_csv, tmp_path, capsys, monkeypatch,
+                                              error, line):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(mfbox.cli, "analyze_series", exhausted)
+        assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == line
 
     def test_overflowing_day_is_one_line_numeric_failure(self, tmp_path):
         # 1.5e308 is finite, but its box sums at l = 2 are not

@@ -460,10 +460,16 @@ class TestPerCommandOptions:
     @pytest.mark.parametrize("flags, message", [
         (("--bootstrap", "0"), "replicate count must be >= 1, got 0"),
         (("--level", "1.5"), "significance level must be in (0, 1), got 1.5"),
+        # the CLI owns the level check: both ends are open, and it runs after the count check
+        (("--level", "0"), "significance level must be in (0, 1), got 0.0"),
+        (("--level", "1"), "significance level must be in (0, 1), got 1.0"),
+        (("--bootstrap", "0", "--level", "1.5"), "replicate count must be >= 1, got 0"),
     ])
     def test_range_errors_come_from_the_library(self, walk_csv, tmp_path, capsys, flags, message):
-        assert run(*self.day_args("shuffle-test", walk_csv, tmp_path / "o"), *flags) == 2
-        assert f"configuration error: {message}" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert run(*self.day_args("shuffle-test", walk_csv, out), *flags) == 2
+        assert capsys.readouterr().err == f"mfbox: configuration error: {message}\n"
+        assert not out.exists()
 
 
 class TestSynthValidation:

@@ -1,9 +1,9 @@
 """Minute-bar CSV ingestion, trading-day segmentation, and box-size schemes.
 
 A raw file holds one or more trading days of strictly positive minute bars.
-Segmentation groups rows by their date string, drops days with bad prices or
-an atypical bar count, and hands each surviving day downstream as an
-immutable :class:`PriceSeries`.
+Parsing groups rows by their date string as it reads them; segmentation drops
+days with bad prices or an atypical bar count and hands each surviving day
+downstream as an immutable :class:`PriceSeries`.
 """
 
 from __future__ import annotations
@@ -42,19 +42,25 @@ def frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MinuteBars:
-    """Minute-bar columns in file order: one date, time and price per data row."""
+    """Per-day columns: distinct dates in first-seen order, each day's rows in file order."""
 
     date: list[str]
-    time: list[str]
-    price: np.ndarray
+    time: list[list[str]]
+    price: list[np.ndarray]
 
     def __post_init__(self):
         if not len(self.date) == len(self.time) == len(self.price):
             raise ValueError(f"column lengths differ: {len(self.date)} dates, "
-                             f"{len(self.time)} times, {len(self.price)} prices")
+                             f"{len(self.time)} time columns, {len(self.price)} price columns")
+        if len(set(self.date)) != len(self.date):
+            raise ValueError("a date appears more than once")
+        for day, times, prices in zip(self.date, self.time, self.price):
+            if len(times) != len(prices):
+                raise ValueError(f"column lengths differ: day {day!r} has {len(times)} times, "
+                                 f"{len(prices)} prices")
 
     def __len__(self) -> int:
-        return len(self.date)
+        return sum(len(p) for p in self.price)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +160,15 @@ def parse_intraday_csv(
     time_col: str = "time",
     price_col: str = "price",
 ) -> MinuteBars:
-    """Read a header-ed CSV of minute bars into columns, in file order.
+    """Read a header-ed CSV of minute bars into per-day columns, grouping rows as it reads.
 
     No filtering happens here: non-finite prices are carried through and
     handled by :func:`segment_by_day`. Raises :class:`IngestError` for an unreadable or
     non-UTF-8 file, a field over the csv size limit or a missing or repeated column, and
     :class:`MalformedRowError` (naming the file line, blank lines counted) for bad rows.
 
-    Equal date and time cells share one ``str``, and prices are packed as
-    they are read, so the columns hold no Python object per row.
+    Equal time cells share one ``str`` and each day's prices are packed as they
+    are read, so the columns hold no Python object per row.
     """
     path = Path(path)
     try:
@@ -170,7 +176,7 @@ def parse_intraday_csv(
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    dates, times, prices = [], [], array("d")
+    days: dict[str, tuple[list[str], array]] = {}  # date -> its times and prices
     shared: dict[str, str] = {}
     with fh:
         reader = csv.reader(fh)
@@ -191,24 +197,25 @@ def parse_intraday_csv(
                         continue  # a blank line
                     if len(row) < width:
                         raise MalformedRowError(f"{path}: row {reader.line_num} is short a field")
+                    times, prices = days.get(row[di]) or days.setdefault(row[di], ([], array("d")))
                     try:
                         prices.append(float(row[pi]))
                     except ValueError as exc:
                         raise MalformedRowError(
                             f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
                         ) from exc
-                    dates.append(shared.setdefault(row[di], row[di]))
                     times.append(shared.setdefault(row[ti], row[ti]))
         except csv.Error as exc:
             raise IngestError(f"{path}: row {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # decoded in chunks, so no row can be named
             bad = exc.object[exc.start]
             raise IngestError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
-    return MinuteBars(dates, times, np.array(prices, dtype=np.float64))
+    return MinuteBars(list(days), [times for times, _ in days.values()],
+                      [np.frombuffer(prices) for _, prices in days.values()])
 
 
 def segment_by_day(bars: MinuteBars) -> DaySegmentation:
-    """Split minute-bar columns into per-day series, dropping suspect days.
+    """Turn per-day minute-bar columns into price series, dropping suspect days.
 
     A day is dropped (never raising) when its id is not one safe path
     component (it names the day's output directory), when it contains a
@@ -217,15 +224,9 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     day. Ties in the modal count go to the longer day. Kept days appear in
     first-seen order, values exactly as parsed and in file order.
     """
-    codes: dict[str, int] = {}  # day id -> its number in first-seen order
-    day_of_row = np.fromiter((codes.setdefault(d, len(codes)) for d in bars.date),
-                             dtype=np.intp, count=len(bars))
-    order = np.argsort(day_of_row, kind="stable")  # stable: rows keep file order within a day
-    ends = np.cumsum(np.bincount(day_of_row))[:-1]
-
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}
-    for day_id, vals in zip(codes, np.split(bars.price[order], ends)):
+    for day_id, vals in zip(bars.date, bars.price):
         if day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0"):
             dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))
         elif not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -233,11 +234,8 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
         else:
             clean[day_id] = vals
 
-    if not clean:
-        return DaySegmentation(days=[], dropped=dropped)
-
     counts = Counter(len(v) for v in clean.values())
-    modal_length = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    modal_length = max(counts.items(), key=lambda kv: (kv[1], kv[0]), default=(0, 0))[0]
 
     days: list[PriceSeries] = []
     for day_id, vals in clean.items():

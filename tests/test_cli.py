@@ -322,6 +322,21 @@ class TestUnsafeInput:
         assert len(lines) == 1
         assert "30 bars" in lines[0]
 
+    def test_drops_are_reported_path_and_price_first_then_length(self, tmp_path, capsys):
+        # days in file order: good A, 30-bar C, unsafe a/b, D with a zero price, good E
+        lengths = {"A": 60, "C": 30, "a/b": 60, "D": 60, "E": 60}
+        rows = [f"{day},09:{m:02d},{0.0 if day == 'D' and m == 7 else 1.0 + m / 100!r}"
+                for day, T in lengths.items() for m in range(T)]
+        path, out = tmp_path / "in.csv", tmp_path / "out"
+        path.write_text("date,time,price\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        assert run("analyze", "--input", str(path), "--outdir", str(out),
+                   "--q-min", "-4", "--q-max", "4") == 0
+        assert capsys.readouterr().err == (
+            "mfbox: dropped day 'a/b' (60 bars): day id is not a safe path component\n"
+            "mfbox: dropped day 'D' (60 bars): non-positive or non-finite price\n"
+            "mfbox: dropped day 'C' (30 bars): length 30 != modal length 60\n")
+        assert sorted(p.name for p in out.iterdir()) == ["A", "E"]
+
 
 class TestExitCodes:
     def test_missing_input_names_path(self, tmp_path, capsys):
@@ -389,6 +404,22 @@ class TestExitCodes:
         monkeypatch.setattr(mfbox.cli, "analyze_series", exhausted)
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o")) == 4
         assert capsys.readouterr().err == line
+
+    def test_write_failure_is_one_line_file_error(self, walk_csv, tmp_path):
+        # a regular file where day 2's directory goes: day 1 is complete, day 3 never starts
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert run("analyze", "--input", str(walk_csv), "--outdir", str(clean)) == 0
+        out.mkdir()
+        (out / "2000-01-04").write_text("in the way\n")
+        proc = cli_process("analyze", "--input", str(walk_csv), "--outdir", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("mfbox: file error: [Errno 17] File exists: ")
+        assert proc.stderr.count("\n") == 1
+        day1 = tree_bytes(out / "2000-01-03")
+        assert sorted(day1) == ["spectrum.csv", "summary.json", "tau.csv"]
+        assert day1 == tree_bytes(clean / "2000-01-03")
+        assert not (out / "2000-01-05").exists()
+        assert list(out.rglob("*.tmp")) == []
 
     def test_overflowing_day_is_one_line_numeric_failure(self, tmp_path):
         # 1.5e308 is finite, but its box sums at l = 2 are not

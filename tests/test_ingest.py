@@ -30,9 +30,10 @@ class TestParseCsv:
             "2001-11-26,09:33,654.8",
         ])
         bars = parse_intraday_csv(path)
-        assert bars.price.tolist() == [655.1, 656.0, 654.8]
-        assert bars.time == ["09:31", "09:32", "09:33"]
-        assert all(d == "2001-11-26" for d in bars.date)
+        assert bars.date == ["2001-11-26"]
+        assert bars.time == [["09:31", "09:32", "09:33"]]
+        assert [p.tolist() for p in bars.price] == [[655.1, 656.0, 654.8]]
+        assert len(bars) == 3
 
     def test_non_numeric_price_names_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [
@@ -101,7 +102,8 @@ class TestParseCsv:
     def test_custom_column_names(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,7.5"], header="d,t,px")
         bars = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")
-        assert bars.price[0] == 7.5
+        assert bars.date == ["2001-11-26"]
+        assert bars.price[0].tolist() == [7.5]
 
     def test_nonfinite_price_passes_through(self, tmp_path):
         # parsing applies no filtering; segmentation drops the day
@@ -114,10 +116,15 @@ class TestParseCsv:
 
 
 def dictreader_columns(path):
-    """Reference reader: the date, time and price of each row as csv.DictReader sees them."""
+    """Reference reader: each date's times and prices, as csv.DictReader sees the rows,
+    dates in first-seen order and rows in file order."""
+    days = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [r["date"] for r in rows], [r["time"] for r in rows], [float(r["price"]) for r in rows]
+        for r in csv.DictReader(fh):
+            times, prices = days.setdefault(r["date"], ([], []))
+            times.append(r["time"])
+            prices.append(float(r["price"]))
+    return list(days), [t for t, _ in days.values()], [p for _, p in days.values()]
 
 
 @pytest.mark.parametrize("text, n_rows", [
@@ -136,26 +143,37 @@ def test_columns_match_dictreader(tmp_path, text, n_rows):
     date, time, price = dictreader_columns(path)
     assert bars.date == date
     assert bars.time == time
-    assert bars.price.dtype == np.float64
-    assert bars.price.tolist() == price
-    assert len(bars) == len(date) == n_rows
+    assert all(p.dtype == np.float64 for p in bars.price)
+    assert [p.tolist() for p in bars.price] == price
+    assert len(bars) == sum(map(len, price)) == n_rows
 
 
 def make_bars(*days):
-    """Columns for consecutive (day id, prices) runs, minutes counted from 09:00 per day."""
-    date, time, price = [], [], []
-    for day, prices in days:
-        date += [day] * len(prices)
-        time += [f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))]
-        price += list(prices)
-    return MinuteBars(date, time, np.asarray(price, dtype=np.float64))
+    """Per-day columns for (day id, prices) pairs, minutes counted from 09:00 per day."""
+    return MinuteBars(
+        [day for day, _ in days],
+        [[f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))] for _, prices in days],
+        [np.asarray(prices, dtype=np.float64) for _, prices in days],
+    )
 
 
 @pytest.mark.parametrize("n_dates, n_times, n_prices", [(3, 3, 1), (3, 3, 4), (3, 2, 3)])
 def test_minute_bars_columns_must_have_one_length(n_dates, n_times, n_prices):
-    # a short price column used to fail deep in segment_by_day; a long one lost prices silently
+    # one time and one price column per date: a missing day's prices would fail deep in
+    # segment_by_day, and an extra one would be lost silently
     with pytest.raises(ValueError, match="column lengths differ"):
-        MinuteBars(["a"] * n_dates, ["t"] * n_times, np.ones(n_prices))
+        MinuteBars([f"d{i}" for i in range(n_dates)], [["t"]] * n_times, [np.ones(1)] * n_prices)
+
+
+@pytest.mark.parametrize("n_times, n_prices", [(3, 2), (2, 3)])
+def test_minute_bars_day_columns_must_have_one_length(n_times, n_prices):
+    with pytest.raises(ValueError, match="column lengths differ: day 'b' has"):
+        MinuteBars(["a", "b"], [["t"], ["t"] * n_times], [np.ones(1), np.ones(n_prices)])
+
+
+def test_minute_bars_dates_are_distinct():
+    with pytest.raises(ValueError, match="more than once"):
+        MinuteBars(["a", "a"], [["t"], ["t"]], [np.ones(1), np.ones(1)])
 
 
 class TestSegmentByDay:
@@ -204,10 +222,14 @@ class TestSegmentByDay:
         rebuilt = np.concatenate([d.values for d in seg.days])
         assert np.array_equal(rebuilt, np.asarray(p1 + p2))
 
-    def test_interleaved_days_keep_their_row_order(self):
+    def test_interleaved_days_keep_their_row_order(self, tmp_path):
         rng = np.random.default_rng(5)
         a, b = 1 + rng.random(60), 1 + rng.random(60)
-        bars = MinuteBars(["a", "b"] * 60, ["09:00"] * 120, np.column_stack([a, b]).ravel())
+        path = write_csv(tmp_path / "d.csv", [f"{day},09:{m:02d},{float(p)!r}" for m in range(60)
+                                              for day, p in (("a", a[m]), ("b", b[m]))])
+        bars = parse_intraday_csv(path)
+        assert bars.date == ["a", "b"]
+        assert bars.time == [[f"09:{m:02d}" for m in range(60)]] * 2
         seg = segment_by_day(bars)
         assert [d.day_id for d in seg.days] == ["a", "b"]
         assert np.array_equal(seg.days[0].values, a)
@@ -215,9 +237,12 @@ class TestSegmentByDay:
 
 
 def test_ingest_memory_per_row(tmp_path):
-    # 40 days of 390 bars. The columns must hold no Python object per row:
-    # a str per date and time cell and a float per price come to about
-    # 140 B per row after parsing and 190 B at the segmentation peak.
+    # 40 days of 390 bars. Rows are grouped by day as they are read: each day
+    # holds a list of shared time strings and a packed price column, about
+    # 21 B per row after parsing. Segmentation builds no whole-file column and
+    # no regrouping index, so its peak adds little more than the kept days'
+    # 8 B per row. The bounds fail whole-file columns regrouped after parsing
+    # (about 28 B per row after parsing and 62 B at the segmentation peak).
     n_days, T = 40, 390
     rng = np.random.default_rng(1)
     prices = (15000 * np.exp(np.cumsum(5e-4 * rng.standard_normal(n_days * T)))).tolist()
@@ -235,8 +260,8 @@ def test_ingest_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(seg.days) == n_days
-    assert after_parse / len(rows) <= 40
-    assert peak / len(rows) <= 80
+    assert after_parse / len(rows) <= 24
+    assert peak / len(rows) <= 40
 
 
 class TestPriceSeries:

@@ -105,12 +105,12 @@ def _replicate_block(
     ln_counts, ln_sizes, varying = scheme.ln_counts, scheme.ln_sizes, scheme.varying
     k = max(1, min(q.size, T // len(scheme.sizes)))
     permuted, out = np.empty((k, T)), np.empty((len(indices), 2))
+    stack = np.repeat(surface.log_chi[None], k, axis=0)  # only the varying columns are written
     for lo in range(0, len(indices), k):
         block = indices[lo:lo + k]
         for r, i in enumerate(block):
             permuted[r] = permuted_values(series.values, i, master_seed)
-        values = permuted[:len(block)]
-        log_chi = np.repeat(surface.log_chi[None], len(block), axis=0)
+        values, log_chi = permuted[:len(block)], stack[:len(block)]
         log_chi_columns(values, scheme.sizes[varying], q, log_chi[..., varying])
         check_log_chi(log_chi, i0, i1, ln_counts)
         tau = fit_tau(log_chi, ln_sizes, i0, i1)

@@ -217,17 +217,18 @@ def parse_intraday_csv(
 def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     """Turn per-day minute-bar columns into price series, dropping suspect days.
 
-    A day is dropped (never raising) when its id is not one safe path
-    component (it names the day's output directory), when it contains a
-    non-positive or non-finite price, or when its bar count differs from
-    the modal count over the clean days -- the proxy for a recording-error
+    A day is dropped (never raising) when its id is not one safe path component
+    of at most 255 UTF-8 bytes (it names the day's output directory), when it
+    contains a non-positive or non-finite price, or when its bar count differs
+    from the modal count over the clean days -- the proxy for a recording-error
     day. Ties in the modal count go to the longer day. Kept days appear in
     first-seen order, values exactly as parsed and in file order.
     """
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}
     for day_id, vals in zip(bars.date, bars.price):
-        if day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0"):
+        if (day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0")
+                or len(day_id.encode("utf-8", "surrogatepass")) > 255):  # NAME_MAX
             dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))
         elif not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             dropped.append(DroppedDay(day_id, vals.size, "non-positive or non-finite price"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import BoxScheme, PriceSeries, frozen_array
-from .measure import BoxMeasure, box_log_weights
+from .measure import box_log_weights
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -118,16 +118,6 @@ def _log_moment_sums(log_weights: np.ndarray, q: np.ndarray) -> np.ndarray:
     z -= shift[..., None]
     np.exp(z, out=z)
     return shift + np.log(z.sum(axis=-1))
-
-
-def log_partition_value(measure: BoxMeasure, q: float) -> float:
-    """ln chi_q for one box measure and one moment order.
-
-    Computed as s + ln sum_n exp(q * ln u_n - s) with s the largest
-    exponent, so the value stays finite for any q of either sign. Exact
-    weight normalization makes the q = 1 value 0 up to round-off.
-    """
-    return float(_log_moment_sums(measure.log_weights, np.asarray([float(q)]))[0])
 
 
 def log_chi_columns(values: np.ndarray, sizes, q: np.ndarray, out: np.ndarray) -> None:

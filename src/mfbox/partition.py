@@ -19,6 +19,7 @@ from .ingest import BoxScheme, PriceSeries, frozen_array
 from .measure import box_log_weights
 
 _NORMALIZATION_TOL = 1e-12
+_MAX_ORDERS = 100_000  # per regular grid; the partition arrays hold n_q rows per box size
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +46,8 @@ class MomentGrid:
 
         The endpoints must sit on the step lattice and the lattice must pass
         exactly through 0 and 1, otherwise the normalization rows of the
-        partition surface would land between grid points.
+        partition surface would land between grid points. A grid of more than
+        100,000 orders is rejected before it is allocated.
         """
         if not np.all(np.isfinite([q_min, q_max, q_step])):
             raise ValueError(f"q_min, q_max and q_step must be finite, "
@@ -54,6 +56,10 @@ class MomentGrid:
             raise ValueError(f"need q_min < 0 < 1 < q_max, got [{q_min}, {q_max}]")
         if q_step <= 0.0:
             raise ValueError(f"q_step must be positive, got {q_step}")
+        span = (q_max - q_min) / q_step  # inf for a subnormal step
+        if not span < _MAX_ORDERS:
+            raise ValueError(f"q range [{q_min}, {q_max}] in steps of {q_step} has more than "
+                             f"{_MAX_ORDERS:,} orders")
         i_min = round(q_min / q_step)
         i_max = round(q_max / q_step)
         i_one = round(1.0 / q_step)

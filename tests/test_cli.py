@@ -24,11 +24,21 @@ def run(*argv):
     return main(list(argv))
 
 
-def cli_process(*argv):
-    """Run the CLI in a fresh interpreter, so stderr holds everything it prints, warnings too."""
+def cli_process(*argv, address_space=None):
+    """Run the CLI in a fresh interpreter, so stderr holds everything it prints, warnings too.
+
+    ``address_space`` (bytes) caps the child's virtual memory, so an allocation past it
+    fails at once instead of taking real memory.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "mfbox.cli", *argv],
-                          capture_output=True, text=True, env=env)
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (address_space, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    return subprocess.run([sys.executable, "-m", "mfbox.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap if address_space else None)
 
 
 def tree_bytes(root):
@@ -309,6 +319,26 @@ class TestUnsafeInput:
         assert sorted(p.name for p in work.iterdir()) == ["in.csv", "out"]
         assert sorted(p.name for p in out.iterdir()) == ["2001-01-05", "batch_summary.json"]
 
+    @pytest.mark.parametrize("command", ["analyze", "shuffle-test", "batch"])
+    @pytest.mark.parametrize("name", ["batch_summary.json", "batch_summary.json.tmp"])
+    def test_day_named_after_a_run_file_is_dropped(self, tmp_path, capsys, command, name):
+        # such a day's directory would stand where the run writes batch_summary.json (or
+        # its temp file), so every command drops it and the other day comes out unchanged
+        flags = ["--q-min", "-4", "--q-max", "4"] + ([] if command == "analyze" else
+                                                     ["--bootstrap", "4", "--seed", "3"])
+        good = walk_day(1)
+        write_series_csv([good], tmp_path / "clean.csv")
+        write_series_csv([good, PriceSeries(name, walk_day(2).values)], tmp_path / "in.csv")
+        assert run(command, "--input", str(tmp_path / "clean.csv"), "--outdir",
+                   str(tmp_path / "clean"), *flags) == 0
+        clean_err = capsys.readouterr().err
+        assert run(command, "--input", str(tmp_path / "in.csv"), "--outdir",
+                   str(tmp_path / "out"), *flags) == 0
+        assert capsys.readouterr().err == (
+            f"mfbox: dropped day '{name}' (60 bars): day id names a file the run writes in "
+            f"--outdir\n" + clean_err)
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "clean")
+
     def test_dropped_day_reported_once(self, tmp_path):
         days = [random_positive_series(60, "iid-lognormal", seed=s, day_id=f"2001-01-0{s}")
                 for s in (1, 2)]
@@ -388,6 +418,17 @@ class TestExitCodes:
     def test_bad_q_grid_is_config_error(self, walk_csv, tmp_path):
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
                    "--q-step", "4") == 2
+
+    def test_too_wide_q_grid_is_one_line_config_error(self, walk_csv, tmp_path):
+        # 4e10 + 1 orders would take 298 GiB; the address-space cap turns any attempt to
+        # allocate them into an immediate MemoryError
+        proc = cli_process("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),
+                           "--q-min", "-2", "--q-max", "2", "--q-step", "1e-10",
+                           address_space=1_500_000_000)
+        assert proc.returncode == 2
+        assert proc.stderr == ("mfbox: configuration error: q range [-2.0, 2.0] in steps of "
+                               "1e-10 has more than 100,000 orders\n")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_boxes_is_config_error(self, walk_csv, tmp_path):
         assert run("analyze", "--input", str(walk_csv), "--outdir", str(tmp_path / "o"),

@@ -8,7 +8,6 @@ from mfbox.ingest import (
     PRESET_BOX_SIZES,
     BoxScheme,
     IngestError,
-    MalformedRowError,
     MinuteBars,
     PriceSeries,
     derive_box_scheme,
@@ -30,9 +29,9 @@ class TestParseCsv:
             "2001-11-26,09:33,654.8",
         ])
         bars = parse_intraday_csv(path)
-        assert bars.date == ["2001-11-26"]
-        assert bars.time == [["09:31", "09:32", "09:33"]]
-        assert [p.tolist() for p in bars.price] == [[655.1, 656.0, 654.8]]
+        assert list(bars.days) == ["2001-11-26"]
+        assert [t for t, _ in bars.days.values()] == [["09:31", "09:32", "09:33"]]
+        assert [p.tolist() for _, p in bars.days.values()] == [[655.1, 656.0, 654.8]]
         assert len(bars) == 3
 
     def test_non_numeric_price_names_row(self, tmp_path):
@@ -40,7 +39,7 @@ class TestParseCsv:
             "2001-11-26,09:31,655.1",
             "2001-11-26,09:32,abc",
         ])
-        with pytest.raises(MalformedRowError, match="row 3"):
+        with pytest.raises(IngestError, match="row 3"):
             parse_intraday_csv(path)
         # rows are named by file line, so a blank line 3 moves the bad price to row 4
         path = write_csv(tmp_path / "gap.csv", [
@@ -48,7 +47,7 @@ class TestParseCsv:
             "",
             "2001-11-26,09:32,abc",
         ])
-        with pytest.raises(MalformedRowError, match="row 4"):
+        with pytest.raises(IngestError, match="row 4"):
             parse_intraday_csv(path)
 
     def test_empty_file_gives_empty_sequence(self, tmp_path):
@@ -79,7 +78,7 @@ class TestParseCsv:
 
     def test_short_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,1.0", "2001-11-26,09:32"])
-        with pytest.raises(MalformedRowError, match="row 3"):
+        with pytest.raises(IngestError, match="row 3"):
             parse_intraday_csv(path)
 
     def test_over_long_field_is_ingest_error(self, tmp_path):
@@ -102,8 +101,8 @@ class TestParseCsv:
     def test_custom_column_names(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,7.5"], header="d,t,px")
         bars = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")
-        assert bars.date == ["2001-11-26"]
-        assert bars.price[0].tolist() == [7.5]
+        assert list(bars.days) == ["2001-11-26"]
+        assert bars.days["2001-11-26"][1].tolist() == [7.5]
 
     def test_nonfinite_price_passes_through(self, tmp_path):
         # parsing applies no filtering; segmentation drops the day
@@ -141,39 +140,26 @@ def test_columns_match_dictreader(tmp_path, text, n_rows):
     path.write_bytes(text.encode("utf-8"))
     bars = parse_intraday_csv(path)
     date, time, price = dictreader_columns(path)
-    assert bars.date == date
-    assert bars.time == time
-    assert all(p.dtype == np.float64 for p in bars.price)
-    assert [p.tolist() for p in bars.price] == price
+    assert list(bars.days) == date
+    assert [t for t, _ in bars.days.values()] == time
+    assert all(p.dtype == np.float64 for _, p in bars.days.values())
+    assert [p.tolist() for _, p in bars.days.values()] == price
     assert len(bars) == sum(map(len, price)) == n_rows
 
 
 def make_bars(*days):
     """Per-day columns for (day id, prices) pairs, minutes counted from 09:00 per day."""
-    return MinuteBars(
-        [day for day, _ in days],
-        [[f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))] for _, prices in days],
-        [np.asarray(prices, dtype=np.float64) for _, prices in days],
-    )
-
-
-@pytest.mark.parametrize("n_dates, n_times, n_prices", [(3, 3, 1), (3, 3, 4), (3, 2, 3)])
-def test_minute_bars_columns_must_have_one_length(n_dates, n_times, n_prices):
-    # one time and one price column per date: a missing day's prices would fail deep in
-    # segment_by_day, and an extra one would be lost silently
-    with pytest.raises(ValueError, match="column lengths differ"):
-        MinuteBars([f"d{i}" for i in range(n_dates)], [["t"]] * n_times, [np.ones(1)] * n_prices)
+    return MinuteBars({
+        day: ([f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))],
+              np.asarray(prices, dtype=np.float64))
+        for day, prices in days
+    })
 
 
 @pytest.mark.parametrize("n_times, n_prices", [(3, 2), (2, 3)])
 def test_minute_bars_day_columns_must_have_one_length(n_times, n_prices):
     with pytest.raises(ValueError, match="column lengths differ: day 'b' has"):
-        MinuteBars(["a", "b"], [["t"], ["t"] * n_times], [np.ones(1), np.ones(n_prices)])
-
-
-def test_minute_bars_dates_are_distinct():
-    with pytest.raises(ValueError, match="more than once"):
-        MinuteBars(["a", "a"], [["t"], ["t"]], [np.ones(1), np.ones(1)])
+        MinuteBars({"a": (["t"], np.ones(1)), "b": (["t"] * n_times, np.ones(n_prices))})
 
 
 class TestSegmentByDay:
@@ -234,8 +220,8 @@ class TestSegmentByDay:
         path = write_csv(tmp_path / "d.csv", [f"{day},09:{m:02d},{float(p)!r}" for m in range(60)
                                               for day, p in (("a", a[m]), ("b", b[m]))])
         bars = parse_intraday_csv(path)
-        assert bars.date == ["a", "b"]
-        assert bars.time == [[f"09:{m:02d}" for m in range(60)]] * 2
+        assert list(bars.days) == ["a", "b"]
+        assert [t for t, _ in bars.days.values()] == [[f"09:{m:02d}" for m in range(60)]] * 2
         seg = segment_by_day(bars)
         assert [d.day_id for d in seg.days] == ["a", "b"]
         assert np.array_equal(seg.days[0].values, a)

@@ -51,6 +51,14 @@ class TestMomentGrid:
         with pytest.raises(ValueError, match="^q_min, q_max and q_step must be finite, got "):
             MomentGrid.from_range(*bounds)
 
+    def test_order_count_is_bounded(self):
+        # the count is checked before any array is built: a subnormal step gives an
+        # infinite count, not an overflow on the way to the lattice indices
+        assert MomentGrid.from_range(-49_999, 50_000, 1).size == 100_000
+        for bounds in [(-50_000, 50_000, 1), (-120, 120, 5e-324)]:
+            with pytest.raises(ValueError, match="has more than 100,000 orders"):
+                MomentGrid.from_range(*bounds)
+
     def test_range_must_straddle(self):
         with pytest.raises(ValueError):
             MomentGrid.from_range(0, 120, 1)

@@ -1,8 +1,9 @@
-"""The bulk CSV writer against the per-value 12-digit formatter it replaced."""
+"""The bulk CSV writer against the per-value 12-digit formatter it replaced, and atomic writes."""
 
 import numpy as np
+import pytest
 
-from mfbox._text import round_for_json, write_csv
+from mfbox._text import atomic_write_text, round_for_json, write_csv
 
 
 def reference_csv(header, table):
@@ -35,3 +36,12 @@ def test_round_for_json():
     assert round_for_json(None) is None
     assert round_for_json(float("nan")) is None
     assert round_for_json(1 / 3) == 0.333333333333
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    # the temp file is written, but a file cannot replace a directory
+    (tmp_path / "t.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(tmp_path / "t.json", "{}\n")
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert (tmp_path / "t.json").is_dir()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import BoxScheme, PriceSeries, frozen_array
-from .measure import box_log_weights
+from .measure import box_log_weights, last_axis_sums
 
 _NORMALIZATION_TOL = 1e-12
 _MAX_ORDERS = 100_000  # per regular grid; the partition arrays hold n_q rows per box size
@@ -118,24 +118,33 @@ def _log_moment_sums(log_weights: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     (..., N) log-weights give (..., n_q) sums, each row reduced as its own call would be.
     """
-    z = np.sort(log_weights)[..., None, :] * q[:, None]
+    # einsum adds each product q * ln u into a zeroed output, so a product of -0.0 comes out
+    # as +0.0 (a broadcast product keeps -0.0). The sign of a zero cannot reach ln chi. In
+    # z - shift, (+-0) - x is -x and x - (+-0) is x for x != 0, and a zero difference goes to
+    # exp, where exp(+-0) is 1. A zero shift is added to ln sum, where +-0 + y is y for y != 0
+    # and +0 for y = +0 (ln never returns -0).
+    z = np.einsum("...n,q->...qn", np.sort(log_weights), q)
     # Each row q * ln u is monotone in the sorted ln u, so its maximum is an end.
     shift = np.where(q >= 0.0, z[..., -1], z[..., 0])
     z -= shift[..., None]
     np.exp(z, out=z)
-    return shift + np.log(z.sum(axis=-1))
+    return shift + np.log(last_axis_sums(z))
 
 
 def log_chi_columns(values: np.ndarray, sizes, q: np.ndarray, out: np.ndarray) -> None:
     """Write ln chi_q(l) of each of the k rows of ``values`` (k, T) into ``out`` (k, n_q, n_l).
 
     Serves a day (k = 1) and blocks of its replicates, which pass a view of their surfaces.
-    Memory rule: column l runs l rows at a time, so no array made here exceeds the n_q * T
-    cells of one row's l = 1 column, whatever k is. Each row equals its one-row call bit for bit.
+    Memory rule: the box measure of size l is taken once on all k rows, k * T / l cells, and
+    its log-sum-exp runs l rows at a time, on at most the n_q * T cells of one row's l = 1
+    column. Every caller passes k <= n_q rows (a day 1; a replicate block recomputes only
+    l >= 2, so its masses hold k * T / l <= n_q * T / 2 cells), so no array made here exceeds
+    n_q * T cells. Each row equals its one-row call bit for bit.
     """
     for j, l in enumerate(sizes):
+        log_weights = box_log_weights(values, l)[1]
         for c in range(0, len(values), l):
-            out[c:c + l, :, j] = _log_moment_sums(box_log_weights(values[c:c + l], l)[1], q)
+            out[c:c + l, :, j] = _log_moment_sums(log_weights[c:c + l], q)
 
 
 def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) -> PartitionSurface:

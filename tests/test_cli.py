@@ -486,6 +486,14 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr == "mfbox: numeric failure: box masses must be positive and finite\n"
 
+    def test_overflowing_normaliser_is_one_line_numeric_failure(self, tmp_path):
+        # 1e307 and its box sums are finite, but the l = 1 masses total 2.4e309
+        path = tmp_path / "in.csv"
+        write_series_csv([PriceSeries("2001-01-02", np.full(240, 1e307))], path)
+        proc = cli_process("analyze", "--input", str(path), "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == 4
+        assert proc.stderr == "mfbox: numeric failure: intermediate overflow in fsum\n"
+
     @pytest.mark.parametrize("command", ["analyze", "shuffle-test", "batch"])
     def test_prime_day_length_is_config_error(self, tmp_path, capsys, command):
         # (1, 241) is the only box scheme of a prime length: no column a shuffle can change

@@ -5,9 +5,11 @@ stdout and stderr, and the SHA-256 and text of every artifact file. Each case
 runs at ``--workers 1`` and ``--workers 2`` against the same record, so the
 output must also be identical across worker counts.
 
-On the numpy version and machine the file was written on, artifacts are
-compared by hash. Elsewhere every CSV and JSON value is compared at atol 1e-9
-instead, so the test never passes silently on another platform.
+On the numpy version, machine and numpy SIMD dispatch targets the file was
+written on, artifacts are compared by hash. Elsewhere every CSV and JSON value
+is compared at atol 1e-9 instead, so the test never passes silently on another
+platform. The dispatch targets count because numpy's AVX-512 ``exp`` and ``log``
+differ in their last bits from its other code paths on the same machine.
 
 The file is regenerated only by ``python tests/test_golden.py --write``. A
 change that regenerates it must list the changed files and say why.
@@ -168,8 +170,18 @@ def values_close(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def simd_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets enabled here, after any ``NPY_DISABLE_CPU_FEATURES``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__ if __cpu_features__[target]]
+
+
 def same_platform(golden: dict) -> bool:
-    return golden["numpy"] == np.__version__ and golden["machine"] == platform.machine()
+    return (golden["numpy"] == np.__version__ and golden["machine"] == platform.machine()
+            and golden["simd_dispatch"] == simd_dispatch())
 
 
 def mismatches(expected: dict, got: dict, by_hash: bool) -> list[str]:
@@ -232,7 +244,8 @@ def write_golden(path: Path = GOLDEN) -> None:
             if runs[0] != runs[1]:
                 raise SystemExit(f"{name}: output differs between --workers 1 and 2")
             cases[name] = runs[0]
-    golden = {"numpy": np.__version__, "machine": platform.machine(), "cases": cases}
+    golden = {"numpy": np.__version__, "machine": platform.machine(),
+              "simd_dispatch": simd_dispatch(), "cases": cases}
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from mfbox.ingest import PriceSeries, derive_box_scheme
@@ -81,6 +84,36 @@ class TestNumpyBoxSums:
         for l in (1, T) if T == 97 else derive_box_scheme(T).sizes:
             raw, _ = box_log_weights(values, l)
             assert_allclose(raw, fsum_box_masses(values, l), rtol=l * np.finfo(float).eps, atol=0)
+
+
+class TestBitIdenticalRewrites:
+    """The forms ``box_log_weights`` uses give the bits of the plainer forms they replace."""
+
+    @pytest.mark.parametrize("l", range(1, 13))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(1, 17), st.integers(16, 60), st.sampled_from([0.01, 1.0, 50.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_box_sums_have_the_bits_of_the_reshape_sum(self, l, k, n, spread, seed):
+        # Canary on numpy: its sum of fewer than 8 values runs left to right. If that order
+        # changes, the strided adds of last_axis_sums for l < 8 no longer give the masses of
+        # the reshape-sum. From l = 8 its pairwise order differs from the strided one.
+        # n >= 16 boxes per row make a difference in order show in some mass.
+        values = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread, (k, n * l))
+        raw, _ = box_log_weights(values, l)
+        assert np.array_equal(raw, values.reshape(k, n, l).sum(axis=-1))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=300),
+                  elements=st.floats(allow_nan=False)))
+    def test_fsum_of_a_memoryview_equals_fsum_of_a_list(self, rows):
+        def outcome(row_input):
+            try:
+                return math.fsum(row_input).hex()
+            except (OverflowError, ValueError) as exc:  # a total past the range, or inf - inf
+                return repr(exc)
+
+        for row in rows:
+            assert outcome(memoryview(row)) == outcome(row.tolist())
 
 
 class TestErrors:

@@ -12,12 +12,14 @@ one-sided p-values:
 Both use non-strict comparisons and plain fractions, so exact 0 and exact 1
 are attainable. Replicates are seeded independently from (master_seed,
 replicate_index), which makes the whole report reproducible bit-for-bit
-regardless of how replicates are scheduled across workers.
+regardless of how replicates are scheduled across forked helpers.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,31 +121,136 @@ def _replicate_block(
     return out
 
 
+class HelperError(RuntimeError):
+    """A forked replicate helper ended without finishing its tasks or saying why."""
+
+
+def _helper(tokens: int, report: int, run, inherited: list[int]) -> None:
+    """Body of a forked helper: call ``run`` on each task number read from ``tokens``.
+
+    It stops at EOF, or at the first task that raises: it then closes ``tokens``, so the
+    caller's writes fail once no helper reads them, and sends (task, exception) on
+    ``report``. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while token := os.read(tokens, 4):
+            task = int.from_bytes(token, "little")
+            try:
+                run(task)
+            except Exception as exc:  # the caller raises it
+                os.close(tokens)
+                data = memoryview(pickle.dumps((task, exc)))
+                while data:
+                    data = data[os.write(report, data):]
+                break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(n_helpers: int, n_tasks: int, run) -> None:
+    """Call run(0), ..., run(n_tasks - 1) on ``n_helpers`` forked helpers.
+
+    This process only feeds and reaps. It writes the task numbers in order into one pipe,
+    in atomic writes of whole numbers, so every task below a failing one has run. Once
+    every helper is reaped it raises :class:`HelperError` for the first helper that died
+    without a report, or else the exception of the lowest-numbered failing task. If this
+    process fails itself, it kills its helpers; on every path it reaps them and closes
+    every pipe.
+    """
+    import select
+    import signal
+
+    tokens_r, tokens_w = os.pipe()
+    fds, pids, reports = {tokens_r, tokens_w}, [], []  # open fds; per helper: pid, report fd
+
+    def close(fd):
+        fds.discard(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(n_helpers):
+            report_r, report_w = os.pipe()
+            fds |= {report_r, report_w}
+            if (pid := os.fork()) == 0:
+                _helper(tokens_r, report_w, run, [tokens_w, report_r, *reports])
+            pids.append(pid)
+            reports.append(report_r)
+            close(report_w)
+        close(tokens_r)
+        tokens = np.arange(n_tasks, dtype="<u4").tobytes()
+        try:
+            for lo in range(0, len(tokens), select.PIPE_BUF):
+                os.write(tokens_w, tokens[lo:lo + select.PIPE_BUF])
+        except BrokenPipeError:  # every helper has ended; its report or status says why
+            pass
+        close(tokens_w)
+        died, failed = [], []
+        for i, report_r in enumerate(reports):
+            with open(report_r, "rb", closefd=False) as stream:
+                report = stream.read()  # before waitpid, so a long report cannot block
+            close(report_r)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
+            pid, pids[i] = pids[i], None
+            if code:
+                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                       else f"exited with status {code}")
+                died.append(f"replicate helper {i + 1} of {n_helpers} (pid {pid}) {how}")
+            elif report:
+                failed.append(pickle.loads(report))
+    except BaseException:
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in filter(None, pids):
+            os.waitpid(pid, 0)
+        for fd in list(fds):
+            close(fd)
+    if died:
+        raise HelperError(died[0])
+    if failed:
+        raise min(failed, key=lambda task_exc: task_exc[0])[1]
+
+
 def replicate_clouds(
     days: list[DayAnalysis], cfg: BootstrapConfig, n_jobs: int = 1
 ) -> list[np.ndarray]:
     """The (B, 2) replicate cloud of every analysed day, in day order.
 
     Each day's replicates run on the grid and box scheme of its own surface.
-    n_jobs is capped at the CPUs this process may use; above 1, each day's
-    replicates are split into min(4 * n_jobs, B) blocks and every (day, block)
-    task runs on one process pool, otherwise all tasks run in this process.
-    Replicates are keyed by index, so the clouds are bit-identical under any
-    schedule.
+    n_jobs is capped at the CPUs this process may use. Above 1, where ``os.fork``
+    exists, each day's replicates are split into min(4 * n_jobs, B) blocks, and
+    n_jobs forked helpers take the (day, block) tasks in order and write their rows
+    into one shared (days, B, 2) buffer; otherwise all tasks run in this process.
+    Either way the error raised is that of the first failing task. Replicates are
+    keyed by index, so the clouds are bit-identical under any schedule.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1)
-    blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if n_jobs > 1 else [np.arange(B)]
-    tasks = [(day.series, day.surface, cfg.master_seed, block) for day in days for block in blocks]
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+    forked = n_jobs > 1 and hasattr(os, "fork") and len(days) > 0
+    blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if forked else [np.arange(B)]
+    shape, n_tasks = (len(days), B, 2), len(days) * len(blocks)
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_replicate_block, *zip(*tasks)))
+    def run(task: int, clouds: np.ndarray) -> None:
+        d, block = divmod(task, len(blocks))
+        day, indices = days[d], blocks[block]
+        clouds[d, indices] = _replicate_block(day.series, day.surface, cfg.master_seed, indices)
+
+    if forked:
+        import mmap
+
+        with mmap.mmap(-1, 8 * math.prod(shape)) as shared:
+            _run_forked(n_jobs, n_tasks, lambda task: run(task, np.ndarray(shape, buffer=shared)))
+            clouds = np.ndarray(shape, buffer=shared).copy()
     else:
-        results = [_replicate_block(*task) for task in tasks]
-    n = len(blocks)
-    return [np.concatenate(results[lo:lo + n]) for lo in range(0, len(results), n)]
+        clouds = np.empty(shape)
+        for task in range(n_tasks):
+            run(task, clouds)
+    return list(clouds)
 
 
 def shuffle_report(day: DayAnalysis, replicates: np.ndarray) -> BootstrapReport:
@@ -179,8 +286,8 @@ def bootstrap_analysis(
 ) -> BootstrapReport:
     """Analyze the original day and B shuffled replicates of it.
 
-    With n_jobs > 1 the replicates run in a process pool (see
-    :func:`replicate_clouds`); the report is bit-identical to the serial one.
+    With n_jobs > 1 the replicates run on forked helpers (see
+    :func:`replicate_clouds`); the report, or the error, is the serial one.
     """
     day = analyze_series(series, scheme, grid)
     [cloud] = replicate_clouds([day], cfg, n_jobs)

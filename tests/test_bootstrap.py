@@ -1,7 +1,7 @@
-import concurrent.futures
 import logging
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +28,8 @@ from mfbox.scaling import _ols
 from mfbox.synth import CascadeSpec, binomial_cascade, constant_series, random_positive_series
 
 SMALL_GRID = MomentGrid.from_range(-8, 8, 1.0)
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 Q10 = MomentGrid.from_range(-10, 10, 1.0)
 
 
@@ -347,66 +349,110 @@ class TestScoring:
             shuffle_report(analysis, np.empty((0, 2)))
 
 
+def fresh_interpreter_run(n_jobs):
+    """Forks, and whether multiprocessing or concurrent.futures got loaded, in a fresh
+    interpreter (this one may have imported them already) running one shuffle test."""
+    code = ("import os, sys\n"
+            "import mfbox\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "day = mfbox.random_positive_series(60, 'intraday-walk', seed=1)\n"
+            "grid = mfbox.MomentGrid.from_range(-4, 4, 1.0)\n"
+            "mfbox.analyze_series(day, grid=grid)\n"
+            "mfbox.bootstrap_analysis(day, mfbox.derive_box_scheme(60), grid,\n"
+            f"                         mfbox.BootstrapConfig(replicates=5), n_jobs={n_jobs})\n"
+            "print(len(forks), sorted(name for name in sys.modules\n"
+            "                         if name.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout
+
+
 class TestWorkerCap:
     @pytest.fixture
-    def recorded(self, monkeypatch):
-        """max_workers of every pool built; an in-process stand-in, so no process is started."""
-        recorded = []
+    def forks(self, monkeypatch):
+        """One entry per os.fork call, recorded in this process before the real fork."""
+        forks, fork = [], os.fork
 
-        class FakePool:
-            def __init__(self, max_workers):
-                recorded.append(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        return recorded
-
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, recorded):
-        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0, 1},
+    @staticmethod
+    def usable_cpus(monkeypatch, count, cpus):
+        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: count)
+        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: set(cpus),
                             raising=False)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, forks):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
         days = [analyze_series(walk_day(16, T=60), grid=SMALL_GRID)]
         cfg = BootstrapConfig(replicates=9, master_seed=4)
         [capped] = replicate_clouds(days, cfg, n_jobs=10_000)
-        assert recorded == [2]
+        assert len(forks) == 2
         [serial] = replicate_clouds(days, cfg, n_jobs=1)
-        assert recorded == [2]
+        assert len(forks) == 2
         assert np.array_equal(capped, serial)
 
-    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, recorded):
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, forks):
         # a machine of 8 CPUs with this process pinned to one of them
-        monkeypatch.setattr(mfbox.bootstrap.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        self.usable_cpus(monkeypatch, 8, {0})
         days = [analyze_series(walk_day(17, T=60), grid=SMALL_GRID)]
         cfg = BootstrapConfig(replicates=9, master_seed=4)
         [pinned] = replicate_clouds(days, cfg, n_jobs=2)
-        assert recorded == []
+        assert forks == []
         [serial] = replicate_clouds(days, cfg, n_jobs=1)
         assert np.array_equal(pinned, serial)
 
+    def test_without_fork_the_run_stays_in_process(self, monkeypatch):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        days = [analyze_series(walk_day(18, T=60), grid=SMALL_GRID)]
+        cfg = BootstrapConfig(replicates=9, master_seed=4)
+        [serial] = replicate_clouds(days, cfg, n_jobs=1)
+        monkeypatch.delattr(os, "fork")
+        [unforked] = replicate_clouds(days, cfg, n_jobs=2)
+        assert np.array_equal(unforked, serial)
+
+    def test_tasks_past_a_full_token_pipe_give_the_serial_clouds(self, monkeypatch, forks):
+        # one-page pipes hold 1,024 task numbers, so the caller blocks until helpers read
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs pipes whose size can be set")
+
+        def one_page_pipe(pipe=os.pipe):
+            r, w = pipe()
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == 4096
+            return r, w
+
+        def hung(signum, frame):
+            raise TimeoutError("the forked run did not end within 60 s")
+
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        days = [analyze_series(walk_day(19, T=16), grid=MomentGrid.from_range(-2, 2, 1.0))] * 130
+        cfg = BootstrapConfig(replicates=8, master_seed=6)  # 8 one-replicate blocks per day
+        serial = np.stack(replicate_clouds(days, cfg, n_jobs=1))
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            forked = np.stack(replicate_clouds(days, cfg, n_jobs=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 2 and len(days) * cfg.replicates > 1024
+        assert np.array_equal(forked, serial)
+
     def test_serial_runs_do_not_load_the_process_pool(self):
-        # a fresh interpreter, since this one may have imported the pool already
-        code = ("import sys\n"
-                "import mfbox\n"
-                "day = mfbox.random_positive_series(60, 'intraday-walk', seed=1)\n"
-                "grid = mfbox.MomentGrid.from_range(-4, 4, 1.0)\n"
-                "mfbox.analyze_series(day, grid=grid)\n"
-                "mfbox.bootstrap_analysis(day, mfbox.derive_box_scheme(60), grid,\n"
-                "                         mfbox.BootstrapConfig(replicates=5), n_jobs=1)\n"
-                "print('concurrent.futures.process' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(mfbox.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout == "False\n"
+        assert fresh_interpreter_run(1) == "0 []\n"
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+    def test_pooled_runs_fork_without_multiprocessing(self):
+        assert fresh_interpreter_run(2) == "2 []\n"
 
 
 class TestConfig:

@@ -1,8 +1,11 @@
 import json
 import logging
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -504,6 +507,54 @@ class TestExitCodes:
             "mfbox: configuration error: box scheme invalid for day length 241: "
             "box scheme needs at least 3 sizes for the scaling fit\n")
         assert not out.exists()
+
+    @staticmethod
+    def faulty_blocks(monkeypatch, fault):
+        """Let ``fault(day_id, indices)`` act before each replicate block, on two usable CPUs."""
+        block = mfbox.bootstrap._replicate_block
+
+        def faulty(series, surface, master_seed, indices):
+            fault(series.day_id, indices)
+            return block(series, surface, master_seed, indices)
+
+        monkeypatch.setattr(mfbox.bootstrap, "_replicate_block", faulty)
+        monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    @pytest.mark.parametrize("command", ["shuffle-test", "batch"])
+    def test_dead_helper_is_one_line_exit_4(self, walk_csv, tmp_path, capsys, monkeypatch,
+                                            command):
+        caller = os.getpid()
+
+        def die_in_a_helper(day_id, indices):
+            if os.getpid() != caller and day_id == "2000-01-04" and indices[0] == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.faulty_blocks(monkeypatch, die_in_a_helper)
+        out = tmp_path / "out"
+        assert run(command, "--input", str(walk_csv), "--outdir", str(out), "--workers", "2",
+                   "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
+        assert re.fullmatch(r"mfbox: replicate helper [12] of 2 \(pid \d+\) was killed by "
+                            rf"signal {int(signal.SIGKILL)} \(.+\)\n", capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_failing_task_names_the_error_at_any_worker_count(
+            self, walk_csv, tmp_path, capsys, monkeypatch, workers):
+        # with two helpers the later task fails first in time; the earlier one is reported
+        def fail_two_days(day_id, indices):
+            if day_id == "2000-01-04" and indices[-1] == 19:
+                time.sleep(0.2)
+                raise ValueError(f"day {day_id} failed")
+            if day_id == "2000-01-05" and indices[0] == 0:
+                raise ValueError(f"day {day_id} failed")
+
+        self.faulty_blocks(monkeypatch, fail_two_days)
+        assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
+                   "--workers", workers, "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
+        assert capsys.readouterr().err == "mfbox: numeric failure: day 2000-01-04 failed\n"
 
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2

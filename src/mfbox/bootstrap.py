@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,85 +121,66 @@ def _replicate_block(
 
 
 class HelperError(RuntimeError):
-    """A forked replicate helper ended without finishing its tasks or saying why."""
+    """A forked replicate helper died, or a task that failed in a helper passed when rerun."""
 
 
-def _helper(tokens: int, report: int, run, inherited: list[int]) -> None:
-    """Body of a forked helper: call ``run`` on each task number read from ``tokens``.
+def _helper(tokens_r: int, tokens_w: int, run, failed: np.ndarray) -> None:
+    """Body of a forked helper: call ``run`` on each task number read from ``tokens_r``.
 
-    It stops at EOF, or at the first task that raises: it then closes ``tokens``, so the
-    caller's writes fail once no helper reads them, and sends (task, exception) on
-    ``report``. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
+    It reads until EOF, so it first closes the write end ``tokens_w`` it inherited. It
+    skips a task once a lower task's flag in ``failed`` is set, and sets a task's flag if
+    the task raises. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
     """
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
-        while token := os.read(tokens, 4):
+        os.close(tokens_w)
+        while token := os.read(tokens_r, 4):
             task = int.from_bytes(token, "little")
-            try:
-                run(task)
-            except Exception as exc:  # the caller raises it
-                os.close(tokens)
-                data = memoryview(pickle.dumps((task, exc)))
-                while data:
-                    data = data[os.write(report, data):]
-                break
+            if not failed[:task].any():
+                try:
+                    run(task)
+                except Exception:  # the caller reruns the task to raise it
+                    failed[task] = 1
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_forked(n_helpers: int, n_tasks: int, run) -> None:
+def _run_forked(n_helpers: int, n_tasks: int, run, failed: np.ndarray) -> None:
     """Call run(0), ..., run(n_tasks - 1) on ``n_helpers`` forked helpers.
 
     This process only feeds and reaps. It writes the task numbers in order into one pipe,
-    in atomic writes of whole numbers, so every task below a failing one has run. Once
-    every helper is reaped it raises :class:`HelperError` for the first helper that died
-    without a report, or else the exception of the lowest-numbered failing task. If this
-    process fails itself, it kills its helpers; on every path it reaps them and closes
-    every pipe.
+    in atomic writes of whole numbers, so every task below a failing one has run. A helper
+    sets the shared byte ``failed[task]`` if the task raises, and skips tasks above a set
+    flag. Once every helper is reaped it raises :class:`HelperError` for the first helper
+    that died. If this process fails itself, it kills its helpers; on every path it reaps
+    them and closes the pipe.
     """
     import select
     import signal
 
     tokens_r, tokens_w = os.pipe()
-    fds, pids, reports = {tokens_r, tokens_w}, [], []  # open fds; per helper: pid, report fd
-
-    def close(fd):
-        fds.discard(fd)
-        os.close(fd)
-
+    pids, died = [], []
     try:
-        for _ in range(n_helpers):
-            report_r, report_w = os.pipe()
-            fds |= {report_r, report_w}
-            if (pid := os.fork()) == 0:
-                _helper(tokens_r, report_w, run, [tokens_w, report_r, *reports])
-            pids.append(pid)
-            reports.append(report_r)
-            close(report_w)
-        close(tokens_r)
-        tokens = np.arange(n_tasks, dtype="<u4").tobytes()
-        try:
-            for lo in range(0, len(tokens), select.PIPE_BUF):
-                os.write(tokens_w, tokens[lo:lo + select.PIPE_BUF])
-        except BrokenPipeError:  # every helper has ended; its report or status says why
-            pass
-        close(tokens_w)
-        died, failed = [], []
-        for i, report_r in enumerate(reports):
-            with open(report_r, "rb", closefd=False) as stream:
-                report = stream.read()  # before waitpid, so a long report cannot block
-            close(report_r)
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
-            pid, pids[i] = pids[i], None
+        with open(tokens_r, "rb") as reader, open(tokens_w, "wb"):  # closed on every path
+            for _ in range(n_helpers):
+                if (pid := os.fork()) == 0:
+                    _helper(tokens_r, tokens_w, run, failed)
+                pids.append(pid)
+            reader.close()
+            tokens = np.arange(n_tasks, dtype="<u4").tobytes()
+            try:
+                for lo in range(0, len(tokens), select.PIPE_BUF):
+                    os.write(tokens_w, tokens[lo:lo + select.PIPE_BUF])
+            except BrokenPipeError:  # every helper has died; its status says how
+                pass
+        for i, pid in enumerate(pids):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids[i] = None
             if code:
                 how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                        else f"exited with status {code}")
                 died.append(f"replicate helper {i + 1} of {n_helpers} (pid {pid}) {how}")
-            elif report:
-                failed.append(pickle.loads(report))
     except BaseException:
         for pid in filter(None, pids):
             os.kill(pid, signal.SIGKILL)
@@ -208,12 +188,8 @@ def _run_forked(n_helpers: int, n_tasks: int, run) -> None:
     finally:
         for pid in filter(None, pids):
             os.waitpid(pid, 0)
-        for fd in list(fds):
-            close(fd)
     if died:
         raise HelperError(died[0])
-    if failed:
-        raise min(failed, key=lambda task_exc: task_exc[0])[1]
 
 
 def replicate_clouds(
@@ -224,10 +200,11 @@ def replicate_clouds(
     Each day's replicates run on the grid and box scheme of its own surface.
     n_jobs is capped at the CPUs this process may use. Above 1, where ``os.fork``
     exists, each day's replicates are split into min(4 * n_jobs, B) blocks, and
-    n_jobs forked helpers take the (day, block) tasks in order and write their rows
-    into one shared (days, B, 2) buffer; otherwise all tasks run in this process.
-    Either way the error raised is that of the first failing task. Replicates are
-    keyed by index, so the clouds are bit-identical under any schedule.
+    n_jobs forked helpers take the (day, block) tasks in order and write their rows, or
+    a failure flag, into one shared buffer; otherwise all tasks run in this process.
+    This process reruns the first flagged task, so the error raised is the serial one,
+    or :class:`HelperError` naming its day if the rerun passes. Replicates are keyed
+    by index, so the clouds are bit-identical under any schedule.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1)
@@ -235,7 +212,7 @@ def replicate_clouds(
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if forked else [np.arange(B)]
     shape, n_tasks = (len(days), B, 2), len(days) * len(blocks)
 
-    def run(task: int, clouds: np.ndarray) -> None:
+    def run(task: int) -> None:
         d, block = divmod(task, len(blocks))
         day, indices = days[d], blocks[block]
         clouds[d, indices] = _replicate_block(day.series, day.surface, cfg.master_seed, indices)
@@ -243,13 +220,18 @@ def replicate_clouds(
     if forked:
         import mmap
 
-        with mmap.mmap(-1, 8 * math.prod(shape)) as shared:
-            _run_forked(n_jobs, n_tasks, lambda task: run(task, np.ndarray(shape, buffer=shared)))
-            clouds = np.ndarray(shape, buffer=shared).copy()
+        shared = mmap.mmap(-1, 8 * math.prod(shape) + n_tasks)  # the clouds, a flag per task
+        clouds = np.ndarray(shape, buffer=shared)
+        failed = np.ndarray(n_tasks, np.uint8, buffer=shared, offset=clouds.nbytes)
+        _run_forked(n_jobs, n_tasks, run, failed)
+        if failed.any():  # every task below the first flagged one has passed
+            run(task := int(failed.argmax()))  # raises the serial error, or else
+            raise HelperError(f"day {days[task // len(blocks)].series.day_id}: a replicate "
+                              "block failed in a helper process but passed when rerun")
     else:
         clouds = np.empty(shape)
         for task in range(n_tasks):
-            run(task, clouds)
+            run(task)
     return list(clouds)
 
 

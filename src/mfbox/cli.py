@@ -14,7 +14,8 @@ knows the significance level: it checks --level and turns p1 and p2 into the
 significant_* flags and the batch fractions it writes.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
-4 numeric failure, out of memory or a replicate helper that died.
+4 numeric failure, out of memory, a replicate helper that died, or a
+replicate block that failed in a helper but passed when rerun.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy.add_argument("--levels", type=int, default=12, help="cascade depth (length 2^levels)")
     p_sy.add_argument("--mass", type=float, default=1.0, help="cascade total mass")
     p_sy.add_argument("--seed", type=int, default=None,
-                      help="seed (randomizes cascade orientation when given)")
+                      help="noise seed of the first day, +1 per later day (0 when absent); "
+                           "randomizes cascade orientation when given")
     p_sy.add_argument("--days", type=int, default=1, help="number of days to generate")
     p_sy.add_argument("--start-date", default="2000-01-03")
     return parser
@@ -266,14 +268,14 @@ def run_days(cfg: RunConfig) -> int:
 
 
 def _synth_day(args: argparse.Namespace, index: int, day_id: str) -> PriceSeries:
-    seed = None if args.seed is None else args.seed + index
     if args.kind == "constant":
         return constant_series(args.length, args.value, day_id=day_id)
-    if args.kind == "cascade":
+    if args.kind == "cascade":  # unseeded: every day has the closed-form orientation
+        seed = None if args.seed is None else args.seed + index
         spec = CascadeSpec(p=args.p, levels=args.levels, total_mass=args.mass)
         return PriceSeries(day_id=day_id, values=binomial_cascade(spec, seed=seed).values)
     return random_positive_series(
-        args.length, args.kind, seed=0 if seed is None else seed,
+        args.length, args.kind, seed=(args.seed or 0) + index,
         sigma=args.sigma, initial=args.initial, day_id=day_id,
     )
 

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -446,6 +447,27 @@ class TestWorkerCap:
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 2 and len(days) * cfg.replicates > 1024
         assert np.array_equal(forked, serial)
+
+    def test_a_failing_task_stops_the_run_before_a_clean_run_ends(self, monkeypatch, forks):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        days = [analyze_series(walk_day(20 + d)) for d in range(4)]  # the default q grid
+        cfg = BootstrapConfig(replicates=200, master_seed=7)
+        start = time.perf_counter()
+        replicate_clouds(days, cfg, n_jobs=2)
+        clean = time.perf_counter() - start
+        block = mfbox.bootstrap._replicate_block
+
+        def first_task_fails(series, surface, master_seed, indices):
+            if series is days[0].series and indices[0] == 0:
+                raise ValueError("task 0 failed")
+            return block(series, surface, master_seed, indices)
+
+        monkeypatch.setattr(mfbox.bootstrap, "_replicate_block", first_task_fails)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^task 0 failed$"):
+            replicate_clouds(days, cfg, n_jobs=2)
+        assert time.perf_counter() - start < clean
+        assert len(forks) == 4
 
     def test_serial_runs_do_not_load_the_process_pool(self):
         assert fresh_interpreter_run(1) == "0 []\n"

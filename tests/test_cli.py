@@ -556,6 +556,26 @@ class TestExitCodes:
                    "--workers", workers, "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
         assert capsys.readouterr().err == "mfbox: numeric failure: day 2000-01-04 failed\n"
 
+    @pytest.mark.parametrize("command", ["shuffle-test", "batch"])
+    def test_block_failing_only_in_a_helper_is_one_line_exit_4(self, walk_csv, tmp_path, capsys,
+                                                               monkeypatch, command):
+        # e.g. a MemoryError that only two helpers at once run into: the rerun here passes
+        caller = os.getpid()
+
+        def fail_in_a_helper(day_id, indices):
+            if os.getpid() != caller and day_id == "2000-01-04" and indices[0] == 0:
+                raise ValueError("failed in a helper")
+
+        self.faulty_blocks(monkeypatch, fail_in_a_helper)
+        assert run(command, "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
+                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
+        assert capsys.readouterr().err == (
+            "mfbox: day 2000-01-04: a replicate block failed in a helper process but passed "
+            "when rerun\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2
 
@@ -649,6 +669,16 @@ class TestSynthValidation:
         assert code == 2
         assert capsys.readouterr().err == (
             "mfbox: configuration error: day 2000-01-03: non-finite value present\n")
+
+    def test_unseeded_days_differ_and_the_first_keeps_its_bytes(self, tmp_path):
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        for path, days in ((one, "1"), (three, "3")):
+            assert run("synth", "--kind", "intraday-walk", "--out", str(path),
+                       "--length", "60", "--days", days) == 0
+        seg = segment_by_day(parse_intraday_csv(three))
+        assert [day.day_id for day in seg.days] == ["2000-01-03", "2000-01-04", "2000-01-05"]
+        assert len({day.values.tobytes() for day in seg.days}) == 3
+        assert three.read_text().startswith(one.read_text())
 
     def test_multi_day_seeds_differ(self, tmp_path):
         path = tmp_path / "multi.csv"

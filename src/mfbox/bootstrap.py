@@ -121,26 +121,25 @@ def _replicate_block(
 
 
 class HelperError(RuntimeError):
-    """A forked replicate helper died, or a task that failed in a helper passed when rerun."""
+    """A replicate helper died or could not be forked, or a task that failed in one passed
+    when rerun."""
 
 
-def _helper(tokens_r: int, tokens_w: int, run, failed: np.ndarray) -> None:
-    """Body of a forked helper: call ``run`` on each task number read from ``tokens_r``.
+def _helper(first: int, stride: int, n_tasks: int, run, failed: np.ndarray) -> None:
+    """Body of a forked helper: call ``run`` on tasks first, first + stride, ... below n_tasks.
 
-    It reads until EOF, so it first closes the write end ``tokens_w`` it inherited. It
-    skips a task once a lower task's flag in ``failed`` is set, and sets a task's flag if
-    the task raises. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
+    It stops at a task once a lower task's flag in ``failed`` is set, and sets a task's flag
+    if the task raises. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
     """
     status = 1
     try:
-        os.close(tokens_w)
-        while token := os.read(tokens_r, 4):
-            task = int.from_bytes(token, "little")
-            if not failed[:task].any():
-                try:
-                    run(task)
-                except Exception:  # the caller reruns the task to raise it
-                    failed[task] = 1
+        for task in range(first, n_tasks, stride):
+            if failed[:task].any():
+                break
+            try:
+                run(task)
+            except Exception:  # the caller reruns the task to raise it
+                failed[task] = 1
         status = 0
     finally:
         os._exit(status)
@@ -149,31 +148,25 @@ def _helper(tokens_r: int, tokens_w: int, run, failed: np.ndarray) -> None:
 def _run_forked(n_helpers: int, n_tasks: int, run, failed: np.ndarray) -> None:
     """Call run(0), ..., run(n_tasks - 1) on ``n_helpers`` forked helpers.
 
-    This process only feeds and reaps. It writes the task numbers in order into one pipe,
-    in atomic writes of whole numbers, so every task below a failing one has run. A helper
-    sets the shared byte ``failed[task]`` if the task raises, and skips tasks above a set
-    flag. Once every helper is reaped it raises :class:`HelperError` for the first helper
-    that died. If this process fails itself, it kills its helpers; on every path it reaps
-    them and closes the pipe.
+    This process only forks and reaps. Helper h runs tasks h, h + n_helpers, ... in
+    ascending order, sets the shared byte ``failed[task]`` if a task raises, and stops at a
+    task above a set flag, so every task below the lowest flag has run. Once every helper is
+    reaped it raises :class:`HelperError` for the first helper that died, or that could not
+    be forked. If this process fails itself, it kills its helpers; on every path it reaps them.
     """
-    import select
     import signal
 
-    tokens_r, tokens_w = os.pipe()
     pids, died = [], []
     try:
-        with open(tokens_r, "rb") as reader, open(tokens_w, "wb"):  # closed on every path
-            for _ in range(n_helpers):
-                if (pid := os.fork()) == 0:
-                    _helper(tokens_r, tokens_w, run, failed)
-                pids.append(pid)
-            reader.close()
-            tokens = np.arange(n_tasks, dtype="<u4").tobytes()
+        for h in range(n_helpers):
             try:
-                for lo in range(0, len(tokens), select.PIPE_BUF):
-                    os.write(tokens_w, tokens[lo:lo + select.PIPE_BUF])
-            except BrokenPipeError:  # every helper has died; its status says how
-                pass
+                pid = os.fork()
+            except OSError as exc:
+                raise HelperError(f"replicate helper {h + 1} of {n_helpers} could not be "
+                                  f"forked: {exc}") from exc
+            if pid == 0:
+                _helper(h, n_helpers, n_tasks, run, failed)
+            pids.append(pid)
         for i, pid in enumerate(pids):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pids[i] = None
@@ -198,17 +191,18 @@ def replicate_clouds(
     """The (B, 2) replicate cloud of every analysed day, in day order.
 
     Each day's replicates run on the grid and box scheme of its own surface.
-    n_jobs is capped at the CPUs this process may use. Above 1, where ``os.fork``
-    exists, each day's replicates are split into min(4 * n_jobs, B) blocks, and
-    n_jobs forked helpers take the (day, block) tasks in order and write their rows, or
-    a failure flag, into one shared buffer; otherwise all tasks run in this process.
-    This process reruns the first flagged task, so the error raised is the serial one,
-    or :class:`HelperError` naming its day if the rerun passes. Replicates are keyed
-    by index, so the clouds are bit-identical under any schedule.
+    n_jobs is capped at the CPUs this process may use and at the replicate count of all
+    days. Above 1, where ``os.fork`` exists, each day's replicates are split into
+    min(4 * n_jobs, B) equal blocks, and n_jobs forked helpers each take every n_jobs-th
+    (day, block) task and write their rows, or a failure flag, into one shared buffer;
+    otherwise all tasks run in this process. This process reruns the first flagged task,
+    so the error raised is the serial one, or :class:`HelperError` naming its day if the
+    rerun passes. A buffer that cannot be mapped raises :class:`MemoryError`. Replicates
+    are keyed by index, so the clouds are bit-identical under any schedule.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1)
-    forked = n_jobs > 1 and hasattr(os, "fork") and len(days) > 0
+    B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1, len(days) * cfg.replicates)
+    forked = n_jobs > 1 and hasattr(os, "fork")
     blocks = np.array_split(np.arange(B), min(4 * n_jobs, B)) if forked else [np.arange(B)]
     shape, n_tasks = (len(days), B, 2), len(days) * len(blocks)
 
@@ -220,7 +214,11 @@ def replicate_clouds(
     if forked:
         import mmap
 
-        shared = mmap.mmap(-1, 8 * math.prod(shape) + n_tasks)  # the clouds, a flag per task
+        size = 8 * math.prod(shape) + n_tasks  # the clouds, a flag per task
+        try:
+            shared = mmap.mmap(-1, size)
+        except OSError as exc:
+            raise MemoryError(f"cannot map {size} bytes for the replicate rows: {exc}") from exc
         clouds = np.ndarray(shape, buffer=shared)
         failed = np.ndarray(n_tasks, np.uint8, buffer=shared, offset=clouds.nbytes)
         _run_forked(n_jobs, n_tasks, run, failed)

@@ -14,8 +14,8 @@ knows the significance level: it checks --level and turns p1 and p2 into the
 significant_* flags and the batch fractions it writes.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
-4 numeric failure, out of memory, a replicate helper that died, or a
-replicate block that failed in a helper but passed when rerun.
+4 numeric failure, out of memory, a replicate helper that died or could not
+be forked, or a replicate block that failed in a helper but passed when rerun.
 """
 
 from __future__ import annotations

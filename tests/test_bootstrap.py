@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -419,17 +420,7 @@ class TestWorkerCap:
         assert np.array_equal(unforked, serial)
 
     def test_tasks_past_a_full_token_pipe_give_the_serial_clouds(self, monkeypatch, forks):
-        # one-page pipes hold 1,024 task numbers, so the caller blocks until helpers read
-        fcntl = pytest.importorskip("fcntl")
-        if not hasattr(fcntl, "F_SETPIPE_SZ"):
-            pytest.skip("needs pipes whose size can be set")
-
-        def one_page_pipe(pipe=os.pipe):
-            r, w = pipe()
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
-            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == 4096
-            return r, w
-
+        # 1,040 one-replicate tasks: each helper runs 520 of them on its stride
         def hung(signum, frame):
             raise TimeoutError("the forked run did not end within 60 s")
 
@@ -437,7 +428,6 @@ class TestWorkerCap:
         days = [analyze_series(walk_day(19, T=16), grid=MomentGrid.from_range(-2, 2, 1.0))] * 130
         cfg = BootstrapConfig(replicates=8, master_seed=6)  # 8 one-replicate blocks per day
         serial = np.stack(replicate_clouds(days, cfg, n_jobs=1))
-        monkeypatch.setattr(os, "pipe", one_page_pipe)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -447,6 +437,35 @@ class TestWorkerCap:
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 2 and len(days) * cfg.replicates > 1024
         assert np.array_equal(forked, serial)
+
+    @pytest.mark.parametrize("n_days, n_forks", [(1, 0), (2, 2)])
+    def test_no_helper_is_forked_without_a_task(self, monkeypatch, forks, n_days, n_forks):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        days = [analyze_series(walk_day(30 + d, T=60), grid=SMALL_GRID) for d in range(n_days)]
+        cfg = BootstrapConfig(replicates=1, master_seed=8)
+        pooled = replicate_clouds(days, cfg, n_jobs=2)
+        assert len(forks) == n_forks
+        serial = replicate_clouds(days, cfg, n_jobs=1)
+        assert np.array_equal(np.stack(pooled), np.stack(serial))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_helpers_fork_while_only_python_threads_run(self, monkeypatch):
+        # Python 3.12+ warns when it forks a process that has threads it did not start;
+        # pooled runs rely on OpenBLAS stopping its threads before each fork
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        threads, fork = [], os.fork
+
+        def counting_threads_after_fork():
+            pid = fork()
+            if pid:
+                threads.append((len(os.listdir("/proc/self/task")), threading.active_count()))
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_threads_after_fork)
+        days = [analyze_series(walk_day(40 + d, T=60), grid=SMALL_GRID) for d in range(2)]
+        replicate_clouds(days, BootstrapConfig(replicates=9, master_seed=9), n_jobs=2)
+        assert len(threads) == 2
+        assert all(os_threads <= python_threads for os_threads, python_threads in threads)
 
     def test_a_failing_task_stops_the_run_before_a_clean_run_ends(self, monkeypatch, forks):
         self.usable_cpus(monkeypatch, 2, {0, 1})

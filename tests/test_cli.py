@@ -1,5 +1,7 @@
+import errno
 import json
 import logging
+import mmap
 import os
 import re
 import signal
@@ -572,6 +574,55 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "mfbox: day 2000-01-04: a replicate block failed in a helper process but passed "
             "when rerun\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_helper_exiting_with_a_status_is_one_line_exit_4(self, walk_csv, tmp_path, capsys,
+                                                             monkeypatch):
+        # SystemExit is no Exception, so the helper flags no task and leaves with status 1
+        caller = os.getpid()
+
+        def exit_in_a_helper(day_id, indices):
+            if os.getpid() != caller and day_id == "2000-01-04" and indices[0] == 0:
+                raise SystemExit("left the helper")
+
+        self.faulty_blocks(monkeypatch, exit_in_a_helper)
+        assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
+                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
+        assert re.fullmatch(r"mfbox: replicate helper [12] of 2 \(pid \d+\) exited with "
+                            r"status 1\n", capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault, line", [
+        ("mmap", "mfbox: out of memory: cannot map 984 bytes for the replicate rows: "
+                 "[Errno 12] Cannot allocate memory\n"),
+        ("fork", "mfbox: replicate helper 2 of 2 could not be forked: "
+                 "[Errno 11] Resource temporarily unavailable\n"),
+    ], ids=["mmap", "fork"])
+    def test_helpers_that_cannot_start_are_one_line_exit_4(self, walk_csv, tmp_path, capsys,
+                                                           monkeypatch, fault, line):
+        # 3 days x 20 replicates x 2 float64 values, and one flag for each of 3 x 8 blocks
+        forks, fork = [], os.fork
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        def unmappable(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        self.faulty_blocks(monkeypatch, lambda day_id, indices: None)
+        if fault == "mmap":
+            monkeypatch.setattr(mmap, "mmap", unmappable)
+        else:
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
+                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
+        assert capsys.readouterr().err == line
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp_path.rglob("*.tmp")) == []

@@ -165,8 +165,8 @@ def _load_days(cfg: RunConfig) -> list[PriceSeries]:
         cfg.input, date_col=cfg.date_col, time_col=cfg.time_col, price_col=cfg.price_col
     )
     named = [DroppedDay(day_id, len(prices), "day id names a file the run writes in --outdir")
-             for day_id, (_, prices) in bars.days.items() if day_id in _RUN_FILES]
-    seg = segment_by_day(MinuteBars({day_id: columns for day_id, columns in bars.days.items()
+             for day_id, prices in bars.days.items() if day_id in _RUN_FILES]
+    seg = segment_by_day(MinuteBars({day_id: prices for day_id, prices in bars.days.items()
                                      if day_id not in _RUN_FILES}))
     for drop in named + seg.dropped:
         print(f"mfbox: dropped day {drop.day_id!r} ({drop.length} bars): {drop.reason}",

@@ -38,18 +38,12 @@ def frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MinuteBars:
-    """Date -> that day's time cells and float64 prices; dates first-seen, rows in file order."""
+    """Date -> that day's float64 prices; dates first-seen, prices in file order."""
 
-    days: dict[str, tuple[list[str], np.ndarray]]
-
-    def __post_init__(self):
-        for day, (times, prices) in self.days.items():
-            if len(times) != len(prices):
-                raise ValueError(f"column lengths differ: day {day!r} has {len(times)} times, "
-                                 f"{len(prices)} prices")
+    days: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return sum(len(prices) for _, prices in self.days.values())
+        return sum(len(prices) for prices in self.days.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +143,15 @@ def parse_intraday_csv(
     time_col: str = "time",
     price_col: str = "price",
 ) -> MinuteBars:
-    """Read a header-ed CSV of minute bars into per-day columns, grouping rows as it reads.
+    """Read a header-ed CSV of minute bars into per-day prices, grouping rows as it reads.
 
     No filtering happens here: non-finite prices are carried through and
     handled by :func:`segment_by_day`. Raises :class:`IngestError` for an unreadable or
     non-UTF-8 file, a field over the csv size limit, a missing or repeated column, or a
     short row or non-numeric price (naming the file line, blank lines counted).
 
-    Equal time cells share one ``str`` and each day's prices are packed as they
-    are read, so the columns hold no Python object per row.
+    The time column must be present and every row must reach it, but its cells are not
+    kept; each day's prices are packed as they are read, so no row holds a Python object.
     """
     path = Path(path)
     try:
@@ -165,8 +159,7 @@ def parse_intraday_csv(
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    days: dict[str, tuple[list[str], array]] = {}  # date -> its times and prices
-    shared: dict[str, str] = {}
+    days: dict[str, array] = {}  # date -> its prices
     with fh:
         reader = csv.reader(fh)
         try:
@@ -186,25 +179,23 @@ def parse_intraday_csv(
                         continue  # a blank line
                     if len(row) < width:
                         raise IngestError(f"{path}: row {reader.line_num} is short a field")
-                    times, prices = days.get(row[di]) or days.setdefault(row[di], ([], array("d")))
+                    prices = days.get(row[di]) or days.setdefault(row[di], array("d"))
                     try:
                         prices.append(float(row[pi]))
                     except ValueError as exc:
                         raise IngestError(
                             f"{path}: row {reader.line_num}: price {row[pi]!r} is not numeric"
                         ) from exc
-                    times.append(shared.setdefault(row[ti], row[ti]))
         except csv.Error as exc:
             raise IngestError(f"{path}: row {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # decoded in chunks, so no row can be named
             bad = exc.object[exc.start]
             raise IngestError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
-    return MinuteBars({day: (times, np.frombuffer(prices))
-                       for day, (times, prices) in days.items()})
+    return MinuteBars({day: np.frombuffer(prices) for day, prices in days.items()})
 
 
 def segment_by_day(bars: MinuteBars) -> DaySegmentation:
-    """Turn per-day minute-bar columns into price series, dropping suspect days.
+    """Turn per-day minute-bar prices into price series, dropping suspect days.
 
     A day is dropped (never raising) when its id is not one safe path component
     of at most 255 UTF-8 bytes (it names the day's output directory), when it
@@ -215,7 +206,7 @@ def segment_by_day(bars: MinuteBars) -> DaySegmentation:
     """
     dropped: list[DroppedDay] = []
     clean: dict[str, np.ndarray] = {}
-    for day_id, (_, vals) in bars.days.items():
+    for day_id, vals in bars.days.items():
         if (day_id in ("", ".", "..") or any(c in day_id for c in "/\\\0")
                 or len(day_id.encode("utf-8", "surrogatepass")) > 255):  # NAME_MAX
             dropped.append(DroppedDay(day_id, vals.size, "day id is not a safe path component"))

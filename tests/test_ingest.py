@@ -30,8 +30,7 @@ class TestParseCsv:
         ])
         bars = parse_intraday_csv(path)
         assert list(bars.days) == ["2001-11-26"]
-        assert [t for t, _ in bars.days.values()] == [["09:31", "09:32", "09:33"]]
-        assert [p.tolist() for _, p in bars.days.values()] == [[655.1, 656.0, 654.8]]
+        assert [p.tolist() for p in bars.days.values()] == [[655.1, 656.0, 654.8]]
         assert len(bars) == 3
 
     def test_non_numeric_price_names_row(self, tmp_path):
@@ -80,6 +79,12 @@ class TestParseCsv:
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,1.0", "2001-11-26,09:32"])
         with pytest.raises(IngestError, match="row 3"):
             parse_intraday_csv(path)
+        # the time cells are not kept, but a row must still reach the time column
+        path = write_csv(tmp_path / "t.csv", ["2001-11-26,1.0,09:31", "2001-11-26,2.0"],
+                         header="date,price,time")
+        with pytest.raises(IngestError) as info:
+            parse_intraday_csv(path)
+        assert str(info.value) == f"{path}: row 3 is short a field"
 
     def test_over_long_field_is_ingest_error(self, tmp_path):
         # the csv module's field limit is 131,072 characters
@@ -102,7 +107,7 @@ class TestParseCsv:
         path = write_csv(tmp_path / "d.csv", ["2001-11-26,09:31,7.5"], header="d,t,px")
         bars = parse_intraday_csv(path, date_col="d", time_col="t", price_col="px")
         assert list(bars.days) == ["2001-11-26"]
-        assert bars.days["2001-11-26"][1].tolist() == [7.5]
+        assert bars.days["2001-11-26"].tolist() == [7.5]
 
     def test_nonfinite_price_passes_through(self, tmp_path):
         # parsing applies no filtering; segmentation drops the day
@@ -115,15 +120,13 @@ class TestParseCsv:
 
 
 def dictreader_columns(path):
-    """Reference reader: each date's times and prices, as csv.DictReader sees the rows,
+    """Reference reader: each date's prices, as csv.DictReader sees the rows,
     dates in first-seen order and rows in file order."""
     days = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
         for r in csv.DictReader(fh):
-            times, prices = days.setdefault(r["date"], ([], []))
-            times.append(r["time"])
-            prices.append(float(r["price"]))
-    return list(days), [t for t, _ in days.values()], [p for _, p in days.values()]
+            days.setdefault(r["date"], []).append(float(r["price"]))
+    return list(days), list(days.values())
 
 
 @pytest.mark.parametrize("text, n_rows", [
@@ -139,27 +142,16 @@ def test_columns_match_dictreader(tmp_path, text, n_rows):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     bars = parse_intraday_csv(path)
-    date, time, price = dictreader_columns(path)
+    date, price = dictreader_columns(path)
     assert list(bars.days) == date
-    assert [t for t, _ in bars.days.values()] == time
-    assert all(p.dtype == np.float64 for _, p in bars.days.values())
-    assert [p.tolist() for _, p in bars.days.values()] == price
+    assert all(p.dtype == np.float64 for p in bars.days.values())
+    assert [p.tolist() for p in bars.days.values()] == price
     assert len(bars) == sum(map(len, price)) == n_rows
 
 
 def make_bars(*days):
-    """Per-day columns for (day id, prices) pairs, minutes counted from 09:00 per day."""
-    return MinuteBars({
-        day: ([f"{9 + i // 60:02d}:{i % 60:02d}" for i in range(len(prices))],
-              np.asarray(prices, dtype=np.float64))
-        for day, prices in days
-    })
-
-
-@pytest.mark.parametrize("n_times, n_prices", [(3, 2), (2, 3)])
-def test_minute_bars_day_columns_must_have_one_length(n_times, n_prices):
-    with pytest.raises(ValueError, match="column lengths differ: day 'b' has"):
-        MinuteBars({"a": (["t"], np.ones(1)), "b": (["t"] * n_times, np.ones(n_prices))})
+    """Per-day prices for (day id, prices) pairs."""
+    return MinuteBars({day: np.asarray(prices, dtype=np.float64) for day, prices in days})
 
 
 class TestSegmentByDay:
@@ -221,7 +213,6 @@ class TestSegmentByDay:
                                               for day, p in (("a", a[m]), ("b", b[m]))])
         bars = parse_intraday_csv(path)
         assert list(bars.days) == ["a", "b"]
-        assert [t for t, _ in bars.days.values()] == [[f"09:{m:02d}" for m in range(60)]] * 2
         seg = segment_by_day(bars)
         assert [d.day_id for d in seg.days] == ["a", "b"]
         assert np.array_equal(seg.days[0].values, a)
@@ -229,12 +220,14 @@ class TestSegmentByDay:
 
 
 def test_ingest_memory_per_row(tmp_path):
-    # 40 days of 390 bars. Rows are grouped by day as they are read: each day
-    # holds a list of shared time strings and a packed price column, about
-    # 21 B per row after parsing. Segmentation builds no whole-file column and
-    # no regrouping index, so its peak adds little more than the kept days'
-    # 8 B per row. The bounds fail whole-file columns regrouped after parsing
-    # (about 28 B per row after parsing and 62 B at the segmentation peak).
+    # 40 days of 390 bars. Rows are grouped by day as they are read, and each
+    # day keeps only a packed price column: about 11 B per row after parsing,
+    # 8 B of it the price and the rest per-day objects and first-call caches.
+    # Segmentation builds no whole-file column and no regrouping index, so its
+    # peak adds little more than the kept days' 8 B per row (about 21 B in
+    # all). The bounds fail a parser that keeps each row's time cell, even as
+    # a shared string (about 21 B after parsing and 30 B at the peak), and
+    # whole-file columns regrouped after parsing (about 28 and 62 B).
     n_days, T = 40, 390
     rng = np.random.default_rng(1)
     prices = (15000 * np.exp(np.cumsum(5e-4 * rng.standard_normal(n_days * T)))).tolist()
@@ -252,8 +245,8 @@ def test_ingest_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(seg.days) == n_days
-    assert after_parse / len(rows) <= 24
-    assert peak / len(rows) <= 40
+    assert after_parse / len(rows) <= 16
+    assert peak / len(rows) <= 26
 
 
 class TestPriceSeries:

@@ -17,7 +17,6 @@ regardless of how replicates are scheduled across forked helpers.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -98,13 +97,14 @@ def _replicate_block(
     point equals the full chain's on the permuted day. Every replicate starts from the day's
     own ``surface``: its l = 1 and l = T columns do not change under permutation, so only
     the columns 1 < l < T are recomputed, by :func:`log_chi_columns` under its memory rule.
-    k = max(1, min(n_q, T // n_l)), so the block's own arrays stay within n_q * T cells too.
+    k = max(1, min(n_q, T // n_l, len(indices))), so the block's own arrays stay within n_q * T
+    cells too, and hold no more rows than the task has.
     """
     grid, scheme, T = surface.grid, surface.scheme, series.length
     scheme.check_length(T)
     q, i0, i1 = grid.q_values, grid.index_of(0.0), grid.index_of(1.0)
     ln_counts, ln_sizes, varying = scheme.ln_counts, scheme.ln_sizes, scheme.varying
-    k = max(1, min(q.size, T // len(scheme.sizes)))
+    k = max(1, min(q.size, T // len(scheme.sizes), len(indices)))
     permuted, out = np.empty((k, T)), np.empty((len(indices), 2))
     stack = np.repeat(surface.log_chi[None], k, axis=0)  # only the varying columns are written
     for lo in range(0, len(indices), k):
@@ -120,69 +120,53 @@ def _replicate_block(
     return out
 
 
-class HelperError(RuntimeError):
-    """A replicate helper died or could not be forked, or a task that failed in one passed
-    when rerun."""
-
-
-def _helper(first: int, stride: int, n_tasks: int, run, failed: np.ndarray) -> None:
+def _helper(first: int, stride: int, n_tasks: int, run, state: np.ndarray) -> None:
     """Body of a forked helper: call ``run`` on tasks first, first + stride, ... below n_tasks.
 
-    It stops at a task once a lower task's flag in ``failed`` is set, and sets a task's flag
-    if the task raises. It leaves by ``os._exit``, so none of its parent's cleanup runs twice.
+    It sets a task's byte in ``state`` to 1 when the task passes and to 2 when it raises, and
+    stops at a task above a 2. It leaves by ``os._exit``, so none of its parent's cleanup
+    runs twice.
     """
-    status = 1
     try:
         for task in range(first, n_tasks, stride):
-            if failed[:task].any():
+            if 2 in state[:task]:
                 break
             try:
                 run(task)
-            except Exception:  # the caller reruns the task to raise it
-                failed[task] = 1
-        status = 0
+                state[task] = 1
+            except Exception:  # the caller reruns the task
+                state[task] = 2
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
-def _run_forked(n_helpers: int, n_tasks: int, run, failed: np.ndarray) -> None:
-    """Call run(0), ..., run(n_tasks - 1) on ``n_helpers`` forked helpers.
+def _run_forked(n_helpers: int, n_tasks: int, run, state: np.ndarray) -> None:
+    """Fork up to ``n_helpers`` helpers on tasks 0, ..., n_tasks - 1 and reap them.
 
-    This process only forks and reaps. Helper h runs tasks h, h + n_helpers, ... in
-    ascending order, sets the shared byte ``failed[task]`` if a task raises, and stops at a
-    task above a set flag, so every task below the lowest flag has run. Once every helper is
-    reaped it raises :class:`HelperError` for the first helper that died, or that could not
-    be forked. If this process fails itself, it kills its helpers; on every path it reaps them.
+    Helper h runs tasks h, h + n_helpers, ... in ascending order and records each in the
+    shared ``state`` (see :func:`_helper`). A fork that fails ends the forking, and a helper
+    that dies is reaped like any other: the caller runs whatever the helpers leave. If this
+    process fails itself, it kills its helpers; on every path it reaps them.
     """
     import signal
 
-    pids, died = [], []
+    pids = []
     try:
         for h in range(n_helpers):
             try:
                 pid = os.fork()
-            except OSError as exc:
-                raise HelperError(f"replicate helper {h + 1} of {n_helpers} could not be "
-                                  f"forked: {exc}") from exc
+            except OSError:
+                break
             if pid == 0:
-                _helper(h, n_helpers, n_tasks, run, failed)
+                _helper(h, n_helpers, n_tasks, run, state)
             pids.append(pid)
-        for i, pid in enumerate(pids):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids[i] = None
-            if code:
-                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-                       else f"exited with status {code}")
-                died.append(f"replicate helper {i + 1} of {n_helpers} (pid {pid}) {how}")
-    except BaseException:
-        for pid in filter(None, pids):
+        while pids:
+            os.waitpid(pids[0], 0)
+            del pids[0]
+    finally:  # helpers are left only if this process failed
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in filter(None, pids):
             os.waitpid(pid, 0)
-    if died:
-        raise HelperError(died[0])
 
 
 def replicate_clouds(
@@ -192,13 +176,13 @@ def replicate_clouds(
 
     Each day's replicates run on the grid and box scheme of its own surface.
     n_jobs is capped at the CPUs this process may use and at the replicate count of all
-    days. Above 1, where ``os.fork`` exists, each day's replicates are split into
-    min(4 * n_jobs, B) equal blocks, and n_jobs forked helpers each take every n_jobs-th
-    (day, block) task and write their rows, or a failure flag, into one shared buffer;
-    otherwise all tasks run in this process. This process reruns the first flagged task,
-    so the error raised is the serial one, or :class:`HelperError` naming its day if the
-    rerun passes. A buffer that cannot be mapped raises :class:`MemoryError`. Replicates
-    are keyed by index, so the clouds are bit-identical under any schedule.
+    days. Above 1, where ``os.fork`` exists and a shared buffer can be mapped, each day's
+    replicates are split into min(4 * n_jobs, B) equal blocks, and n_jobs forked helpers
+    each take every n_jobs-th (day, block) task and write its rows and state byte into the
+    buffer. Helpers only speed the run up: this process then runs, in task order, every
+    task no helper passed, which is every task of a serial run. So the clouds, or the error
+    raised, are the serial ones. Replicates are keyed by index, so the clouds are
+    bit-identical under any schedule.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     B, n_jobs = cfg.replicates, min(n_jobs, cpus or 1, len(days) * cfg.replicates)
@@ -211,25 +195,20 @@ def replicate_clouds(
         day, indices = days[d], blocks[block]
         clouds[d, indices] = _replicate_block(day.series, day.surface, cfg.master_seed, indices)
 
-    if forked:
-        import mmap
+    import mmap
 
-        size = 8 * math.prod(shape) + n_tasks  # the clouds, a flag per task
-        try:
-            shared = mmap.mmap(-1, size)
-        except OSError as exc:
-            raise MemoryError(f"cannot map {size} bytes for the replicate rows: {exc}") from exc
-        clouds = np.ndarray(shape, buffer=shared)
-        failed = np.ndarray(n_tasks, np.uint8, buffer=shared, offset=clouds.nbytes)
-        _run_forked(n_jobs, n_tasks, run, failed)
-        if failed.any():  # every task below the first flagged one has passed
-            run(task := int(failed.argmax()))  # raises the serial error, or else
-            raise HelperError(f"day {days[task // len(blocks)].series.day_id}: a replicate "
-                              "block failed in a helper process but passed when rerun")
+    try:  # the clouds, and a state byte per task: 0 not run, 1 passed, 2 raised
+        shared = mmap.mmap(-1, 16 * len(days) * B + n_tasks) if forked else None
+    except OSError:  # then no helper is forked
+        shared = None
+    if shared is None:
+        clouds, state = np.empty(shape), np.zeros(n_tasks, np.uint8)
     else:
-        clouds = np.empty(shape)
-        for task in range(n_tasks):
-            run(task)
+        clouds = np.ndarray(shape, buffer=shared)
+        state = np.ndarray(n_tasks, np.uint8, buffer=shared, offset=clouds.nbytes)
+        _run_forked(n_jobs, n_tasks, run, state)
+    for task in np.flatnonzero(state != 1):
+        run(int(task))
     return list(clouds)
 
 

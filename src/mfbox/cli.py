@@ -14,8 +14,8 @@ knows the significance level: it checks --level and turns p1 and p2 into the
 significant_* flags and the batch fractions it writes.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error,
-4 numeric failure, out of memory, a replicate helper that died or could not
-be forked, or a replicate block that failed in a helper but passed when rerun.
+4 numeric failure or out of memory. Replicate helpers cannot change the exit
+code: whatever they leave undone runs in the calling process.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._text import TEMP_SUFFIX, atomic_write_text, round_for_json, write_csv, write_json
-from .bootstrap import (BootstrapConfig, BootstrapReport, HelperError, replicate_clouds,
-                        shuffle_report)
+from .bootstrap import BootstrapConfig, BootstrapReport, replicate_clouds, shuffle_report
 from .ingest import (
     DroppedDay,
     IngestError,
@@ -334,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except MemoryError as exc:  # e.g. a long day on a q grid near MomentGrid's bound
         print(f"mfbox: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except HelperError as exc:  # e.g. a helper the kernel killed for memory
-        print(f"mfbox: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -136,10 +136,10 @@ def test_criterion_6_null_uniformity_and_positive_control():
         p1s = list(pool.map(_null_day_p1, range(1000, 1200), chunksize=10))
     frac = np.mean(np.asarray(p1s) <= 0.05)
 
-    # Positive control. Moment orders are capped at |q| <= 5 here: beyond
-    # that the moments are dominated by the leaf-value distribution, which
-    # shuffling preserves, so huge |q| cannot separate ordering from
-    # marginal (see notes in the bootstrap module tests).
+    # Positive control. Moment orders are capped at |q| <= 5 here because the
+    # control asserts p2 == 0 as well as p1 == 0. On wider ranges, such as
+    # |q| <= 20 or 120, p1 still flags every cascade day but p2 flags none:
+    # the cascade's F is then near 0 and no lower than its shuffles' F.
     cascade = binomial_cascade(CascadeSpec(p=0.6, levels=12))
     rep = bootstrap_analysis(
         cascade, derive_box_scheme(cascade.length), MomentGrid.from_range(-5, 5, 1.0),

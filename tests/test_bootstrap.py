@@ -1,3 +1,4 @@
+import errno
 import logging
 import math
 import os
@@ -320,9 +321,9 @@ def traced_peak(fn):
 class TestReplicateMemory:
     """A block holds at most n_q * T cells per array, so memory does not grow with B."""
 
-    def _block_peak(self, case, B):
-        day, scheme, grid = TestReplicatePath.CASES[case]
-        surface = analyze_series(day, scheme, grid).surface
+    def _block_peak(self, case, B, grid=None):
+        day, scheme, case_grid = TestReplicatePath.CASES[case]
+        surface = analyze_series(day, scheme, grid or case_grid).surface
         return traced_peak(lambda: mfbox.bootstrap._replicate_block(day, surface, 1, np.arange(B)))
 
     def test_peak_does_not_grow_with_the_replicate_count(self):
@@ -332,6 +333,12 @@ class TestReplicateMemory:
     def test_peak_is_within_three_day_analyses(self, case):
         day, scheme, grid = TestReplicatePath.CASES[case]
         assert self._block_peak(case, 400) <= 3 * traced_peak(lambda: analyze_series(day, scheme, grid))
+
+    def test_a_short_block_holds_only_its_own_rows(self):
+        # on the default grid a block of the T = 4096 cascade holds up to 241 rows
+        grid = MomentGrid.from_range()
+        full = self._block_peak("cascade4096", 241, grid)
+        assert self._block_peak("cascade4096", 2, grid) < 0.5 * full
 
 
 class TestScoring:
@@ -466,6 +473,41 @@ class TestWorkerCap:
         replicate_clouds(days, BootstrapConfig(replicates=9, master_seed=9), n_jobs=2)
         assert len(threads) == 2
         assert all(os_threads <= python_threads for os_threads, python_threads in threads)
+
+    def test_a_first_fork_that_fails_leaves_the_serial_clouds(self, monkeypatch):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        forks = []
+
+        def failing_fork():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        days = [analyze_series(walk_day(50 + d, T=60), grid=SMALL_GRID) for d in range(2)]
+        cfg = BootstrapConfig(replicates=9, master_seed=5)
+        serial = replicate_clouds(days, cfg, n_jobs=1)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        pooled = replicate_clouds(days, cfg, n_jobs=2)
+        assert len(forks) == 1
+        assert np.array_equal(np.stack(pooled), np.stack(serial))
+
+    def test_killed_helpers_leave_the_serial_clouds(self, monkeypatch, forks):
+        self.usable_cpus(monkeypatch, 2, {0, 1})
+        days = [analyze_series(walk_day(52 + d, T=60), grid=SMALL_GRID) for d in range(2)]
+        cfg = BootstrapConfig(replicates=9, master_seed=5)
+        serial = replicate_clouds(days, cfg, n_jobs=1)
+        caller, block = os.getpid(), mfbox.bootstrap._replicate_block
+
+        def killed_in_a_helper(series, surface, master_seed, indices):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block(series, surface, master_seed, indices)
+
+        monkeypatch.setattr(mfbox.bootstrap, "_replicate_block", killed_in_a_helper)
+        pooled = replicate_clouds(days, cfg, n_jobs=2)
+        assert len(forks) == 2
+        assert np.array_equal(np.stack(pooled), np.stack(serial))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_failing_task_stops_the_run_before_a_clean_run_ends(self, monkeypatch, forks):
         self.usable_cpus(monkeypatch, 2, {0, 1})

@@ -3,7 +3,6 @@ import json
 import logging
 import mmap
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -523,9 +522,25 @@ class TestExitCodes:
         monkeypatch.setattr(mfbox.bootstrap.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
 
+    @staticmethod
+    def assert_serial_run(command, walk_csv, tmp_path, capsys):
+        """A --workers 2 run exits 0 with the tree, stdout and stderr of a --workers 1 run,
+        and leaves no child process and no temp file."""
+        capsys.readouterr()
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert run(command, "--input", str(walk_csv), "--outdir", str(out), "--workers",
+                       workers, "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 0
+            outputs.append((tree_bytes(out), capsys.readouterr()))
+        assert outputs[1] == outputs[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     @pytest.mark.parametrize("command", ["shuffle-test", "batch"])
-    def test_dead_helper_is_one_line_exit_4(self, walk_csv, tmp_path, capsys, monkeypatch,
-                                            command):
+    def test_dead_helper_leaves_the_serial_run(self, walk_csv, tmp_path, capsys, monkeypatch,
+                                               command):
         caller = os.getpid()
 
         def die_in_a_helper(day_id, indices):
@@ -533,14 +548,7 @@ class TestExitCodes:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         self.faulty_blocks(monkeypatch, die_in_a_helper)
-        out = tmp_path / "out"
-        assert run(command, "--input", str(walk_csv), "--outdir", str(out), "--workers", "2",
-                   "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
-        assert re.fullmatch(r"mfbox: replicate helper [12] of 2 \(pid \d+\) was killed by "
-                            rf"signal {int(signal.SIGKILL)} \(.+\)\n", capsys.readouterr().err)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.rglob("*.tmp")) == []
+        self.assert_serial_run(command, walk_csv, tmp_path, capsys)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_first_failing_task_names_the_error_at_any_worker_count(
@@ -559,8 +567,8 @@ class TestExitCodes:
         assert capsys.readouterr().err == "mfbox: numeric failure: day 2000-01-04 failed\n"
 
     @pytest.mark.parametrize("command", ["shuffle-test", "batch"])
-    def test_block_failing_only_in_a_helper_is_one_line_exit_4(self, walk_csv, tmp_path, capsys,
-                                                               monkeypatch, command):
+    def test_block_failing_only_in_a_helper_leaves_the_serial_run(self, walk_csv, tmp_path,
+                                                                  capsys, monkeypatch, command):
         # e.g. a MemoryError that only two helpers at once run into: the rerun here passes
         caller = os.getpid()
 
@@ -569,18 +577,11 @@ class TestExitCodes:
                 raise ValueError("failed in a helper")
 
         self.faulty_blocks(monkeypatch, fail_in_a_helper)
-        assert run(command, "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
-                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
-        assert capsys.readouterr().err == (
-            "mfbox: day 2000-01-04: a replicate block failed in a helper process but passed "
-            "when rerun\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.rglob("*.tmp")) == []
+        self.assert_serial_run(command, walk_csv, tmp_path, capsys)
 
-    def test_helper_exiting_with_a_status_is_one_line_exit_4(self, walk_csv, tmp_path, capsys,
-                                                             monkeypatch):
-        # SystemExit is no Exception, so the helper flags no task and leaves with status 1
+    def test_helper_exiting_with_a_status_leaves_the_serial_run(self, walk_csv, tmp_path, capsys,
+                                                                monkeypatch):
+        # SystemExit is no Exception, so the helper leaves without recording its task
         caller = os.getpid()
 
         def exit_in_a_helper(day_id, indices):
@@ -588,27 +589,16 @@ class TestExitCodes:
                 raise SystemExit("left the helper")
 
         self.faulty_blocks(monkeypatch, exit_in_a_helper)
-        assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
-                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
-        assert re.fullmatch(r"mfbox: replicate helper [12] of 2 \(pid \d+\) exited with "
-                            r"status 1\n", capsys.readouterr().err)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        self.assert_serial_run("shuffle-test", walk_csv, tmp_path, capsys)
 
-    @pytest.mark.parametrize("fault, line", [
-        ("mmap", "mfbox: out of memory: cannot map 984 bytes for the replicate rows: "
-                 "[Errno 12] Cannot allocate memory\n"),
-        ("fork", "mfbox: replicate helper 2 of 2 could not be forked: "
-                 "[Errno 11] Resource temporarily unavailable\n"),
-    ], ids=["mmap", "fork"])
-    def test_helpers_that_cannot_start_are_one_line_exit_4(self, walk_csv, tmp_path, capsys,
-                                                           monkeypatch, fault, line):
-        # 3 days x 20 replicates x 2 float64 values, and one flag for each of 3 x 8 blocks
+    @pytest.mark.parametrize("fault", ["mmap", "first-fork", "second-fork"])
+    def test_helpers_that_cannot_start_leave_the_serial_run(self, walk_csv, tmp_path, capsys,
+                                                            monkeypatch, fault):
         forks, fork = [], os.fork
 
-        def second_fork_fails():
+        def failing_fork():
             forks.append(1)
-            if len(forks) == 2:
+            if len(forks) == {"first-fork": 1, "second-fork": 2}[fault]:
                 raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
             return fork()
 
@@ -619,13 +609,9 @@ class TestExitCodes:
         if fault == "mmap":
             monkeypatch.setattr(mmap, "mmap", unmappable)
         else:
-            monkeypatch.setattr(os, "fork", second_fork_fails)
-        assert run("shuffle-test", "--input", str(walk_csv), "--outdir", str(tmp_path / "out"),
-                   "--workers", "2", "--bootstrap", "20", "--q-min", "-5", "--q-max", "5") == 4
-        assert capsys.readouterr().err == line
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.rglob("*.tmp")) == []
+            monkeypatch.setattr(os, "fork", failing_fork)
+        self.assert_serial_run("shuffle-test", walk_csv, tmp_path, capsys)
+        assert len(forks) == {"mmap": 0, "first-fork": 1, "second-fork": 2}[fault]
 
     def test_unknown_flag_is_config_error(self):
         assert run("analyze", "--nope") == 2

@@ -30,7 +30,7 @@ class IngestError(Exception):
 
 
 def frozen_array(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``, as every frozen result type holds its arrays."""
+    """A read-only float64 copy of ``values``: how PriceSeries and MomentGrid hold outside input."""
     arr = np.asarray(values, dtype=np.float64).copy()
     arr.flags.writeable = False
     return arr

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import PriceSeries, frozen_array
+from .ingest import PriceSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,14 +30,6 @@ class BoxMeasure:
     box_size: int
     raw_mass: np.ndarray
     log_weights: np.ndarray
-
-    def __post_init__(self):
-        for name in ("raw_mass", "log_weights"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        if self.raw_mass.size == 0 or self.raw_mass.size != self.log_weights.size:
-            raise ValueError("raw_mass and log_weights must be equal-length and non-empty")
-        if np.any(self.raw_mass <= 0.0) or not np.all(np.isfinite(self.raw_mass)):
-            raise ValueError("box masses must be positive and finite")
 
     @property
     def box_count(self) -> int:
@@ -87,4 +79,5 @@ def box_log_weights(values: np.ndarray, box_size: int) -> tuple[np.ndarray, np.n
 def build_box_measure(series: PriceSeries, box_size: int) -> BoxMeasure:
     """Tile ``series`` into boxes of ``box_size`` samples and sum each box."""
     raw, log_weights = box_log_weights(series.values, box_size)
+    raw.flags.writeable = log_weights.flags.writeable = False
     return BoxMeasure(box_size=int(box_size), raw_mass=raw, log_weights=log_weights)

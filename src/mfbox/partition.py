@@ -90,14 +90,6 @@ class PartitionSurface:
     scheme: BoxScheme
     log_chi: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "log_chi", frozen_array(self.log_chi))
-        nq, nl = self.grid.size, len(self.scheme.sizes)
-        if self.log_chi.shape != (nq, nl):
-            raise ValueError(f"log_chi shape {self.log_chi.shape} != (n_q, n_l) = {(nq, nl)}")
-        check_log_chi(self.log_chi, self.grid.index_of(0.0), self.grid.index_of(1.0),
-                      self.scheme.ln_counts)
-
 
 def check_log_chi(log_chi: np.ndarray, i0: int, i1: int, ln_counts: np.ndarray) -> None:
     """Raise ValueError unless ln chi is finite, chi_1 = 1 and chi_0 = N(l) to 1e-12.
@@ -148,7 +140,7 @@ def log_chi_columns(values: np.ndarray, sizes, q: np.ndarray, out: np.ndarray) -
 
 
 def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) -> PartitionSurface:
-    """Evaluate ln chi_q(l) for every grid order and scheme size.
+    """Evaluate ln chi_q(l) for every grid order and scheme size, checked by :func:`check_log_chi`.
 
     Each (q, l) cell depends only on its own box measure, so evaluation
     order is irrelevant; results are deterministic for identical inputs.
@@ -156,4 +148,6 @@ def partition_surface(series: PriceSeries, scheme: BoxScheme, grid: MomentGrid) 
     scheme.check_length(series.length)
     log_chi = np.empty((grid.size, len(scheme.sizes)))
     log_chi_columns(series.values[None], scheme.sizes, grid.q_values, log_chi[None])
+    check_log_chi(log_chi, grid.index_of(0.0), grid.index_of(1.0), scheme.ln_counts)
+    log_chi.flags.writeable = False
     return PartitionSurface(grid=grid, scheme=scheme, log_chi=log_chi)

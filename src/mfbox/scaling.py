@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import frozen_array
 from .partition import MomentGrid, PartitionSurface
 
 _TAU_ANCHOR_TOL = 1e-10
@@ -32,14 +31,6 @@ class MassExponents:
     r: np.ndarray
     alpha_bar: float
     alpha_bar_stderr: float
-
-    def __post_init__(self):
-        for name in ("tau", "r"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        if self.tau.shape != (self.grid.size,) or self.r.shape != (self.grid.size,):
-            raise ValueError("tau and r must match the moment grid")
-        if np.max(np.abs(self.r)) > 1.0:
-            raise ValueError("correlation coefficient outside [-1, 1]")
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +89,7 @@ def fit_mass_exponents(surface: PartitionSurface) -> MassExponents:
     flat = syy <= x.size * 1e-24
     r[flat] = 0.0
     r = np.clip(r, -1.0, 1.0)
+    tau.flags.writeable = r.flags.writeable = False
 
     q = grid.q_values
     alpha_bar, intercept = _ols(q, tau)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import frozen_array
 from .partition import MomentGrid
 from .scaling import MassExponents
 
@@ -32,14 +31,6 @@ class SingularitySpectrum:
     f: np.ndarray
     delta_alpha: float
     f_mid: float
-
-    def __post_init__(self):
-        for name in ("alpha", "f"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        if self.alpha.shape != (self.grid.size,) or self.f.shape != (self.grid.size,):
-            raise ValueError("alpha and f must match the moment grid")
-        if self.delta_alpha < 0.0:
-            raise ValueError("delta_alpha must be non-negative")
 
 
 def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -63,6 +54,7 @@ def legendre_transform(tau: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]
 def legendre_spectrum(exponents: MassExponents) -> SingularitySpectrum:
     """Transform fitted mass exponents into the singularity spectrum."""
     alpha, f, delta_alpha, f_mid = legendre_transform(exponents.tau, exponents.grid.q_values)
+    alpha.flags.writeable = f.flags.writeable = False
     return SingularitySpectrum(
         grid=exponents.grid, alpha=alpha, f=f, delta_alpha=float(delta_alpha), f_mid=float(f_mid)
     )

@@ -151,6 +151,24 @@ def test_criterion_6_null_uniformity_and_positive_control():
            f"cascade control: p1={rep.p1}, p2={rep.p2} (both 0)")
 
 
+def test_positive_control_on_the_default_grid():
+    # Criterion 6's cascade on the CLI's default q range, -120..120: p1 flags every day,
+    # and p2 flags none, because the cascade's F then lies above most of its shuffles' F.
+    # This pins what mfbox does today; p2 is one-sided in the paper's direction.
+    p1s, p2s = [], []
+    for seed in range(100, 110):
+        cascade = binomial_cascade(CascadeSpec(p=0.6, levels=8), seed=seed)
+        rep = bootstrap_analysis(cascade, derive_box_scheme(256), MomentGrid.from_range(),
+                                 BootstrapConfig(replicates=50, master_seed=seed))
+        p1s.append(rep.p1)
+        p2s.append(rep.p2)
+    print(f"10 p=0.6 cascades, T=256, q in [-120, 120], B=50: "
+          f"p1 in [{min(p1s)}, {max(p1s)}], p2 in [{min(p2s)}, {max(p2s)}]")
+    assert sum(p <= 0.05 for p in p1s) == 10
+    assert sum(p <= 0.05 for p in p2s) == 0
+    assert min(p2s) > 0.5
+
+
 def _read_numeric_artifacts(day_dir):
     out = {}
     for name in ("tau.csv", "spectrum.csv"):

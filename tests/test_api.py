@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import importlib
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,17 @@ def test_array_holders_compare_by_identity(make):
     assert hash(x) == hash(x)
 
 
+@pytest.mark.parametrize("field", ["series.values", "surface.log_chi", "exponents.tau",
+                                   "exponents.r", "spectrum.alpha", "spectrum.f",
+                                   "surface.grid.q_values"])
+def test_result_arrays_are_read_only(field):
+    # Each stage function marks the arrays it made read-only, without copying them.
+    array = attrgetter(field)(analysed_day())
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 1.0
+
+
 def imported_names(tree):
     """Absolute dotted names of every module and member a module imports."""
     for node in ast.walk(tree):
@@ -115,6 +127,25 @@ def imported_names(tree):
                 base = "mfbox" + (f".{base}" if base else "")
             yield base
             yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def unused_imports(tree):
+    """Names a module imports but never reads; a name listed in ``__all__`` counts as read."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_modules_use_every_name_they_import():
+    # Deleting code tends to leave its imports behind.
+    for path in sorted(Path(mfbox.__file__).parent.glob("*.py")):
+        assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set(), path.name
 
 
 def test_only_the_cli_formats_artifacts():

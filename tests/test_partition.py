@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import mfbox.partition
 from mfbox.ingest import PriceSeries, derive_box_scheme
 from mfbox.measure import box_log_weights
 from mfbox.partition import (
     MomentGrid,
-    PartitionSurface,
     _log_moment_sums,
     log_chi_columns,
     partition_surface,
@@ -175,13 +175,17 @@ class TestSurface:
             partition_surface(random_series(0, T=120), derive_box_scheme(240),
                               MomentGrid.from_range())
 
-    def test_rejects_broken_matrix(self):
-        s = random_series(0)
-        surf = partition_surface(s, derive_box_scheme(240), MomentGrid.from_range())
-        bad = np.array(surf.log_chi)
-        bad[surf.grid.index_of(1.0), 0] = 0.5
-        with pytest.raises(ValueError, match="q=1"):
-            PartitionSurface(grid=surf.grid, scheme=surf.scheme, log_chi=bad)
+    def test_rejects_broken_matrix(self, monkeypatch):
+        # The guard runs where the surface is computed, so break the kernel it calls.
+        grid = MomentGrid.from_range()
+
+        def broken(values, sizes, q, out):
+            log_chi_columns(values, sizes, q, out)
+            out[..., grid.index_of(1.0), 0] = 0.5
+
+        monkeypatch.setattr(mfbox.partition, "log_chi_columns", broken)
+        with pytest.raises(ValueError, match="^ln chi at q=1 deviates from 0 beyond 1e-12$"):
+            partition_surface(random_series(0), derive_box_scheme(240), grid)
 
 
 COMPOSITE_LENGTHS = [T for T in range(4, 513) if any(T % d == 0 for d in range(2, T))]
